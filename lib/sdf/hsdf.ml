@@ -142,39 +142,156 @@ let precheck ?(options = Execution.default_options)
                 in
                 if instances > icap || edges > ecap then
                   Error (Too_large { instances; edges; limit = max_instances })
-                else Ok (q, bound, instances)))
+                else Ok (q, bound, instances, edges)))
 
 let supported ?options ?max_instances g =
   match precheck ?options ?max_instances g with
   | Ok _ -> Ok ()
   | Error e -> Error e
 
-(* Dependency-edge accumulator: edges are recorded in discovery order (so the
-   expanded graph is deterministic) and parallel edges between the same two
-   instances collapse to the fewest initial tokens — successive completions
-   of one instance are monotone in time, so the tightest edge dominates. *)
-type edge = {
-  esrc : int;
-  edst : int;
-  ename : string;
-  mutable edelta : int;
+(* The raw dependency edges of an expansion, in discovery order: the
+   token-dependency edges channel by channel (the auto-concurrency
+   self-loops count as channels after the graph's own), then each
+   resource's static-order ring. [label] names an edge's origin: its
+   channel index for a token edge, [-1 - ri] for an edge of the ring of
+   resource [ri]. *)
+type raw = {
+  first : int array;
+  time : int array;  (** execution time per instance *)
+  src : int array;
+  dst : int array;
+  tokens : int array;
+  label : int array;
+  mutable m : int;
+  so_start : int array;
+      (** index of each resource's first edge, and [m] after the last *)
 }
+
+let push b ~src ~dst ~tokens ~label =
+  let e = b.m in
+  b.src.(e) <- src;
+  b.dst.(e) <- dst;
+  b.tokens.(e) <- tokens;
+  b.label.(e) <- label;
+  b.m <- e + 1
+
+(* Token-dependency edges of one channel: consumer instance [i] of [t]
+   consumes tokens [i*r .. i*r+r-1]; token [K] is emitted by producer firing
+   [floor((K - d) / p)], folded onto an instance of the same iteration with
+   the iteration distance as initial tokens on the edge. *)
+let channel_edges b q ~label ~s ~t ~p ~r ~d =
+  let qs = q.(s) and fs = b.first.(s) and ft = b.first.(t) in
+  for i = 0 to q.(t) - 1 do
+    for l = 0 to r - 1 do
+      let j_raw = floor_div ((i * r) + l - d) p in
+      let j0 =
+        let m = j_raw mod qs in
+        if m < 0 then m + qs else m
+      in
+      push b ~src:(fs + j0) ~dst:(ft + i) ~tokens:((j0 - j_raw) / qs) ~label
+    done
+  done
+
+let build (options : Execution.options) g (q, bound, total, edges) =
+  let resources = options.Execution.resources in
+  let n = Graph.actor_count g in
+  let first = Array.make n 0 and time = Array.make total 0 in
+  let off = ref 0 in
+  for a = 0 to n - 1 do
+    first.(a) <- !off;
+    Array.fill time !off q.(a) (Graph.actor g a).Graph.execution_time;
+    off := !off + q.(a)
+  done;
+  let so_start = Array.make (List.length resources + 1) 0 in
+  let b =
+    {
+      first;
+      time;
+      src = Array.make edges 0;
+      dst = Array.make edges 0;
+      tokens = Array.make edges 0;
+      label = Array.make edges 0;
+      m = 0;
+      so_start;
+    }
+  in
+  List.iter
+    (fun (c : Graph.channel) ->
+      channel_edges b q ~label:c.Graph.channel_id ~s:c.Graph.source
+        ~t:c.Graph.target ~p:c.Graph.production_rate ~r:c.Graph.consumption_rate
+        ~d:c.Graph.initial_tokens)
+    (Graph.channels g);
+  (* The engine's auto-concurrency bound, structurally: an additional
+     k-token self-loop on every actor not serialized by a resource. Unlike
+     {!Transform.constrain_auto_concurrency} this must not skip actors that
+     already have self-loops — the engine applies the bound on top of any
+     data self-loop, and so does the extra channel. *)
+  (match options.Execution.auto_concurrency with
+  | None -> ()
+  | Some k ->
+      let label = ref (Graph.channel_count g) in
+      for a = 0 to n - 1 do
+        if not bound.(a) then begin
+          channel_edges b q ~label:!label ~s:a ~t:a ~p:1 ~r:1 ~d:k;
+          incr label
+        end
+      done);
+  (* Static orders: occurrence [k] of a pass is one HSDF instance; a
+     zero-token chain serializes the pass in order and a one-token edge
+     closes the ring, exactly the engine's single-firing-in-flight cyclic
+     scheduler. *)
+  let next = Array.make n 0 in
+  List.iteri
+    (fun ri (r : Execution.resource_binding) ->
+      let o = r.Execution.static_order in
+      let len = Array.length o in
+      so_start.(ri) <- b.m;
+      if len > 0 then begin
+        Array.fill next 0 n 0;
+        let ids =
+          Array.map
+            (fun a ->
+              let i = next.(a) in
+              next.(a) <- i + 1;
+              first.(a) + i)
+            o
+        in
+        for k = 0 to len - 2 do
+          push b ~src:ids.(k) ~dst:ids.(k + 1) ~tokens:0 ~label:(-1 - ri)
+        done;
+        push b ~src:ids.(len - 1) ~dst:ids.(0) ~tokens:1 ~label:(-1 - ri)
+      end)
+    resources;
+  so_start.(List.length resources) <- b.m;
+  b
+
+(* Parallel edges between the same two instances collapse to the fewest
+   initial tokens — successive completions of one instance are monotone in
+   time, so the tightest edge dominates. *)
+let collapse b =
+  Mcm.csr_of_edges ~time:b.time ~src:b.src ~dst:b.dst ~tokens:b.tokens b.m
+
+let expand_csr ?(options = Execution.default_options)
+    ?(max_instances = default_max_instances) g =
+  match precheck ~options ~max_instances g with
+  | Error e -> Error e
+  | Ok sizes -> Ok (collapse (build options g sizes))
 
 let expand ?(options = Execution.default_options)
     ?(max_instances = default_max_instances) g =
   match precheck ~options ~max_instances g with
   | Error e -> Error e
-  | Ok (q, bound, total) ->
+  | Ok ((q, bound, total, _) as sizes) ->
       let n = Graph.actor_count g in
-      (* The engine's auto-concurrency bound, structurally: an additional
-         k-token self-loop on every actor not serialized by a resource.
-         Unlike {!Transform.constrain_auto_concurrency} this must not skip
-         actors that already have self-loops — the engine applies the bound
-         on top of any data self-loop, and so does the extra channel. *)
-      let aug =
+      let b = build options g sizes in
+      (* only for its marks: later parallel edges now hold -1 tokens *)
+      ignore (collapse b : Mcm.csr);
+      (* the auto-concurrency channels' names, uniquified against the
+         graph and each other *)
+      let channel_names =
         match options.Execution.auto_concurrency with
-        | None -> g
-        | Some k ->
+        | None -> Graph.channels g
+        | Some _ ->
             List.fold_left
               (fun acc (a : Graph.actor) ->
                 if bound.(a.actor_id) then acc
@@ -185,16 +302,15 @@ let expand ?(options = Execution.default_options)
                          (Transform.fresh_channel_name acc
                             (a.actor_name ^ "__ac"))
                        ~source:a.actor_id ~production_rate:1
-                       ~target:a.actor_id ~consumption_rate:1
-                       ~initial_tokens:k ~token_size:0 ()))
+                       ~target:a.actor_id ~consumption_rate:1 ()))
               g (Graph.actors g)
+            |> Graph.channels
       in
-      let first = Array.make n 0 in
-      let off = ref 0 in
-      for a = 0 to n - 1 do
-        first.(a) <- !off;
-        off := !off + q.(a)
-      done;
+      let channel_names =
+        Array.of_list
+          (List.map (fun (c : Graph.channel) -> c.Graph.channel_name)
+             channel_names)
+      in
       let instances = Array.make total { original = 0; index = 0 } in
       let hg = ref (Graph.empty (Graph.name g ^ "__hsdf")) in
       for a = 0 to n - 1 do
@@ -211,80 +327,27 @@ let expand ?(options = Execution.default_options)
           hg := hg'
         done
       done;
-      let edge_index : (int * int, edge) Hashtbl.t =
-        Hashtbl.create (max 64 total)
-      in
-      let edge_order = ref [] in
-      let add_edge ~src ~dst ~name delta =
-        match Hashtbl.find_opt edge_index (src, dst) with
-        | Some e -> if delta < e.edelta then e.edelta <- delta
-        | None ->
-            let e = { esrc = src; edst = dst; ename = name; edelta = delta } in
-            Hashtbl.add edge_index (src, dst) e;
-            edge_order := e :: !edge_order
-      in
-      (* Token-dependency edges: consumer instance [i] of [c.target] consumes
-         tokens [i*r .. i*r+r-1]; token [K] is emitted by producer firing
-         [floor((K - d) / p)], folded onto an instance of the same iteration
-         with the iteration distance as initial tokens on the edge. *)
-      List.iter
-        (fun (c : Graph.channel) ->
-          let s = c.Graph.source and t = c.Graph.target in
-          let p = c.Graph.production_rate
-          and r = c.Graph.consumption_rate
-          and d = c.Graph.initial_tokens in
-          let qs = q.(s) in
-          for i = 0 to q.(t) - 1 do
-            for l = 0 to r - 1 do
-              let k0 = (i * r) + l in
-              let j_raw = floor_div (k0 - d) p in
-              let j0 =
-                let m = j_raw mod qs in
-                if m < 0 then m + qs else m
-              in
-              let delta = (j0 - j_raw) / qs in
-              add_edge ~src:(first.(s) + j0) ~dst:(first.(t) + i)
-                ~name:(Printf.sprintf "%s#%d_%d" c.Graph.channel_name j0 i)
-                delta
-            done
-          done)
-        (Graph.channels aug);
-      (* Static orders: occurrence [k] of a pass is one HSDF instance; a
-         zero-token chain serializes the pass in order and a one-token edge
-         closes the ring, exactly the engine's single-firing-in-flight
-         cyclic scheduler. *)
-      List.iteri
-        (fun ri (r : Execution.resource_binding) ->
-          let o = r.Execution.static_order in
-          let len = Array.length o in
-          if len > 0 then begin
-            let next = Array.make n 0 in
-            let ids =
-              Array.map
-                (fun a ->
-                  let i = next.(a) in
-                  next.(a) <- i + 1;
-                  first.(a) + i)
-                o
-            in
-            for k = 0 to len - 2 do
-              add_edge ~src:ids.(k) ~dst:ids.(k + 1)
-                ~name:(Printf.sprintf "__so__%d__%d" ri k)
-                0
-            done;
-            add_edge ~src:ids.(len - 1) ~dst:ids.(0)
-              ~name:(Printf.sprintf "__so__%d__ring" ri)
-              1
-          end)
-        options.Execution.resources;
-      List.iter
-        (fun e ->
+      for e = 0 to b.m - 1 do
+        if b.tokens.(e) >= 0 then begin
+          let src = b.src.(e) and dst = b.dst.(e) and l = b.label.(e) in
+          let name =
+            if l >= 0 then
+              Printf.sprintf "%s#%d_%d" channel_names.(l)
+                instances.(src).index instances.(dst).index
+            else
+              let ri = -1 - l in
+              let k = e - b.so_start.(ri) in
+              if k = b.so_start.(ri + 1) - b.so_start.(ri) - 1 then
+                Printf.sprintf "__so__%d__ring" ri
+              else Printf.sprintf "__so__%d__%d" ri k
+          in
           hg :=
             fst
-              (Graph.add_channel !hg ~name:e.ename ~source:e.esrc
-                 ~production_rate:1 ~target:e.edst ~consumption_rate:1
-                 ~initial_tokens:e.edelta ~token_size:0 ()))
-        (List.rev !edge_order);
-      Ok { graph = !hg; instances; first_instance = first; repetition = q }
+              (Graph.add_channel !hg ~name ~source:src ~production_rate:1
+                 ~target:dst ~consumption_rate:1 ~initial_tokens:b.tokens.(e)
+                 ~token_size:0 ())
+        end
+      done;
+      Ok { graph = !hg; instances; first_instance = b.first; repetition = q }
 
 let instance_label t id = (Graph.actor t.graph id).Graph.actor_name

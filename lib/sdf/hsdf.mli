@@ -70,6 +70,15 @@ val expand :
     validates. Parallel dependencies between the same two instances are
     collapsed to the tightest (fewest initial tokens) edge. *)
 
+val expand_csr :
+  ?options:Execution.options -> ?max_instances:int -> Graph.t ->
+  (Mcm.csr, error) result
+(** The same expansion as {!expand}, straight into {!Mcm.csr} form: node
+    ids are HSDF actor ids, rows list successors in {!Mcm.csr}'s order, and
+    no names or {!Graph.t} are built. [Mcm.max_cycle_ratio_csr] of the
+    result equals [Mcm.max_cycle_ratio] of {!expand}'s graph, witness cycle
+    included. *)
+
 val instance_label : t -> Graph.actor_id -> string
 (** ["<original actor name>#<index>"] for an HSDF actor id, from the
     provenance table. *)

@@ -42,10 +42,47 @@ exception Diverged
     treat it like {!Rational.Overflow} and fall back to the state-space
     analysis rather than report an unproven bound. *)
 
+type csr = {
+  time : int array;  (** execution time of each node, indexed by node id *)
+  row : int array;
+      (** [n + 1] offsets: node [u]'s out-edges are the positions
+          [row.(u) .. row.(u + 1) - 1] of {!field-succ} and {!field-tokens} *)
+  succ : int array;  (** destination node of each edge *)
+  tokens : int array;  (** initial tokens on each edge *)
+}
+(** A dependency graph in compressed-sparse-row form, with parallel edges
+    already collapsed to the fewest tokens. Each row lists its successors
+    {b latest-discovered first}: of two edges out of one node, the one whose
+    (source, destination) pair first appeared later in the input comes
+    first. The analysis walks rows in this order, so the order picks the
+    witness cycle (and with it the period fields {!Throughput} reports)
+    whenever several cycles share the maximum ratio. *)
+
+val csr_of_edges :
+  time:int array ->
+  src:int array ->
+  dst:int array ->
+  tokens:int array ->
+  int ->
+  csr
+(** [csr_of_edges ~time ~src ~dst ~tokens m] collapses the first [m] raw
+    edges [src.(e) -> dst.(e)], given in discovery order, into a {!csr}
+    over the nodes [0 .. Array.length time - 1]. The collapse is a stable
+    counting sort by source plus a per-destination stamp; no pair is
+    hashed. [tokens] is overwritten: on return the first edge of each pair
+    holds the pair's fewest tokens, and every later parallel edge holds
+    [-1]. *)
+
+val max_cycle_ratio_csr : csr -> outcome
+(** Exact maximum cycle ratio of a {!csr} dependency graph. The zero-token
+    cycle search, Tarjan's components and Howard's iteration are loops over
+    arrays preallocated per call.
+    @raise Diverged see above *)
+
 val max_cycle_ratio : Graph.t -> outcome
-(** Exact maximum cycle ratio. Uses each edge's source execution time as the
-    edge's time weight and the edge's initial tokens as its token weight;
+(** {!max_cycle_ratio_csr} of the graph's channels, taken in id order as
+    {!csr_of_edges} edges: each edge's time weight is its source's
+    execution time and its token weight its initial tokens;
     production/consumption rates are ignored (the input is expected to be
     homogeneous — expand first, see {!Hsdf.expand}).
-    @raise Diverged see above
-    @raise Rational.Overflow when the exact potentials exceed native ints *)
+    @raise Diverged see above *)

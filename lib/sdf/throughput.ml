@@ -97,10 +97,10 @@ let result_of_mcm = function
 (* [None] = infeasible at run time (certificate failure or exact-arithmetic
    overflow); the caller falls back to the state space. *)
 let try_mcm ~options g =
-  match Hsdf.expand ~options g with
+  match Hsdf.expand_csr ~options g with
   | Error _ -> None
-  | Ok h -> (
-      match Mcm.max_cycle_ratio h.Hsdf.graph with
+  | Ok c -> (
+      match Mcm.max_cycle_ratio_csr c with
       | outcome -> Some (result_of_mcm outcome)
       | exception (Mcm.Diverged | Rational.Overflow) -> None)
 

@@ -117,10 +117,18 @@ let options_key spec =
 
 let id spec =
   (* key on the graph's structural digest, not the raw XML: two
-     serializations of the same graph are the same job *)
+     serializations of the same graph are the same job. The structural key
+     leaves token sizes out, but a job's memory dimensioning and
+     communication model depend on them, so they join the graph part in
+     channel-id order. *)
   let graph_part =
     match Sdf.Xmlio.of_string spec.sp_graph_xml with
-    | Ok g -> Sdf.Graph.structural_digest g
+    | Ok g ->
+        String.concat ","
+          (Sdf.Graph.structural_digest g
+          :: List.map
+               (fun (c : Sdf.Graph.channel) -> string_of_int c.token_size)
+               (Sdf.Graph.channels g))
     | Error _ -> Digest.to_hex (Digest.string spec.sp_graph_xml)
   in
   Digest.to_hex (Digest.string (graph_part ^ "|" ^ options_key spec))

@@ -40,8 +40,8 @@ val options_key : spec -> string
 (** Canonical encoding of everything but the graph. *)
 
 val id : spec -> string
-(** Job identity: hex digest over the graph's structural digest and
-    {!options_key}. *)
+(** Job identity: hex digest over the graph's structural digest, its
+    channel token sizes in channel-id order, and {!options_key}. *)
 
 val to_json : spec -> Jsonkit.Json.t
 (** Everything needed to re-execute the job, graph included — this is

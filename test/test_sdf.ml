@@ -958,6 +958,35 @@ let one_iteration_returns_marking (rg : Tgraphs.random_graph) =
   loop ();
   Array.for_all (fun r -> r = 0) remaining && tokens = initial
 
+module Workload = Gen.Workload
+
+(* The flat analysis path ([Hsdf.expand_csr] into [Mcm.max_cycle_ratio_csr])
+   must return exactly what the graph path returns, witness cycle included. *)
+let csr_path_agrees ~options g =
+  let outcome f = match f () with o -> Ok o | exception Mcm.Diverged -> Error () in
+  match (Hsdf.expand ~options g, Hsdf.expand_csr ~options g) with
+  | Ok h, Ok c ->
+      outcome (fun () -> Mcm.max_cycle_ratio h.Hsdf.graph)
+      = outcome (fun () -> Mcm.max_cycle_ratio_csr c)
+  | Error e1, Error e2 -> e1 = e2
+  | Ok _, Error _ | Error _, Ok _ -> false
+
+(* ... under every auto-concurrency degree, and mapped onto two resources
+   with static orders *)
+let csr_path_agrees_everywhere g =
+  List.for_all
+    (fun auto_concurrency ->
+      csr_path_agrees
+        ~options:{ Execution.default_options with auto_concurrency }
+        g)
+    [ None; Some 1; Some 2 ]
+  &&
+  let binding aid = Some (Printf.sprintf "pe%d" (aid mod 2)) in
+  match Schedule.list_schedule g ~binding with
+  | Error _ -> false
+  | Ok resources ->
+      csr_path_agrees ~options:{ Execution.default_options with resources } g
+
 let sdf_props =
   let open QCheck in
   [
@@ -1012,18 +1041,21 @@ let sdf_props =
         | Error _ -> false);
     Test.make ~count:50
       ~name:"mcm and state space agree exactly on random bounded graphs"
-      Tgraphs.random_graph_arbitrary
-      (fun rg ->
+      (pair Tgraphs.random_graph_arbitrary (int_range 0 100_000))
+      (fun (rg, seed) ->
         let b = Tgraphs.bounded rg in
-        match
-          ( Throughput.analyse b,
-            Throughput.analyse ~method_:`Mcm b )
-        with
+        (match
+           ( Throughput.analyse b,
+             Throughput.analyse ~method_:`Mcm b )
+         with
         | ( Throughput.Throughput { throughput = t1; _ },
             Throughput.Throughput { throughput = t2; _ } ) ->
             Rational.equal t1 t2
         | Throughput.Deadlocked _, Throughput.Deadlocked _ -> true
-        | _ -> false);
+        | _ -> false)
+        && csr_path_agrees_everywhere b
+        && csr_path_agrees_everywhere
+             (Workload.generate ~seed ()).Workload.graph);
   ]
 
 (* --- structural keys and the analysis memo ----------------------------- *)

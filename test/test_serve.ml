@@ -370,6 +370,38 @@ let test_server_idempotent_dedup () =
       check int "the job ran exactly once" 1 (Atomic.get executions);
       check int "dedup counted" 1 (counter srv "serve.jobs.deduped"))
 
+(* Two graphs that differ only in token sizes are different jobs: the
+   token size feeds the communication model, so the guarantees differ. *)
+let token_size_body size =
+  Printf.sprintf
+    "<sdfgraph name=\"ts\">\n\
+    \  <actor name=\"a0\" executionTime=\"12\"/>\n\
+    \  <actor name=\"a1\" executionTime=\"24\"/>\n\
+    \  <channel name=\"c0\" src=\"a0\" dst=\"a1\" prodRate=\"1\" \
+     consRate=\"1\" initialTokens=\"0\" tokenSize=\"%d\"/>\n\
+     </sdfgraph>"
+    size
+
+let test_server_token_size_identity () =
+  let wide = parse_spec (token_size_body 8)
+  and narrow = parse_spec (token_size_body 4) in
+  check bool "token sizes join the job id" true (Job.id wide <> Job.id narrow);
+  with_server ~execute:Job.execute (fun srv port ->
+      let guarantee body =
+        let status, _, answer =
+          request ~port ~meth:"POST" ~path:"/jobs?wait=1" ~body ()
+        in
+        check int "answered on completion" 200 status;
+        answer
+      in
+      check bool "8-byte tokens guarantee 1/36" true
+        (contains (guarantee (token_size_body 8))
+           "\"guarantee\":{\"num\":1,\"den\":36}");
+      check bool "4-byte tokens guarantee 1/54" true
+        (contains (guarantee (token_size_body 4))
+           "\"guarantee\":{\"num\":1,\"den\":54}");
+      check int "both graphs executed" 2 (counter srv "serve.jobs.executed"))
+
 let test_server_overload_backpressure () =
   let release = Atomic.make false in
   let execute _ =
@@ -504,6 +536,8 @@ let () =
             test_server_rejects_and_routes;
           Alcotest.test_case "idempotent dedup" `Quick
             test_server_idempotent_dedup;
+          Alcotest.test_case "token sizes are part of the job" `Quick
+            test_server_token_size_identity;
           Alcotest.test_case "overload backpressure" `Quick
             test_server_overload_backpressure;
           Alcotest.test_case "graceful drain" `Quick test_server_drain;
