@@ -43,7 +43,7 @@ let timed_section name f =
   record ~name ~value:wall ~iterations:1 ~domains:1 ()
 
 let write_bench_json path =
-  let module Json = Core.Json in
+  let module Json = Jsonkit.Json in
   let entries = List.rev !bench_entries in
   let n = List.length entries in
   let entry_json (name, value, unit, iterations, domains) =
@@ -62,7 +62,7 @@ let write_bench_json path =
     ~finally:(fun () -> close_out oc)
     (fun () ->
       (* one entry per line keeps the file diff-friendly across PRs while
-         each line stays canonical Core.Json output *)
+         each line stays canonical Jsonkit.Json output *)
       output_string oc "{\n  \"schema_version\": 2,\n  \"entries\": [\n";
       List.iteri
         (fun i e ->

@@ -65,7 +65,8 @@ let jobs_term =
 
 let resolve_jobs jobs = Exec.Pool.parallelism ?jobs ~default:1 ()
 
-(* shared --no-memo flag: kill switch for the worst-case-analysis cache.
+(* shared --no-memo flag: clears the [memo] field of the flow options the
+   command builds, so its analyses bypass the worst-case-analysis cache.
    Results are byte-identical either way (the cache key covers every
    analysis input), so the flag only trades time for memory — and gives
    CI a way to prove that equivalence. *)
@@ -358,11 +359,33 @@ let mjpeg_cmd =
 (* the paper's "very fast design space exploration", as a subcommand: sweep
    (tile count x interconnect) with one flow run per point — fanned out
    over -j domains — and print the guarantee/area Pareto front *)
+
+(* the report both dse paths print: every point's row, the infeasible
+   points, the Pareto front and the best point under --max-slices. [pp]
+   renders the rows, [summary] projects one onto its deterministic part *)
+let print_sweep pp ~summary ~pareto ~max_slices rows failures =
+  Format.printf "%a@." pp rows;
+  List.iter
+    (fun (tiles, interc, reason) ->
+      Printf.printf "infeasible: %d %s tile(s): %s\n" tiles interc reason)
+    failures;
+  Format.printf "@.Pareto front (guarantee vs. slices):@.%a@." pp (pareto rows);
+  match max_slices with
+  | None -> ()
+  | Some budget -> (
+      match
+        Core.Dse.best_summary (List.map summary rows) ~max_slices:budget
+      with
+      | None -> Printf.printf "no feasible point within %d slices\n" budget
+      | Some s ->
+          Printf.printf "best under %d slices: %s with %d tile(s), %d slices\n"
+            budget s.Core.Dse.s_interconnect s.s_tile_count s.s_slices)
+
 (* budgeted sweep: print only deterministic tables on stdout — no wall
    times, no resumed counts — so a resumed run's report is byte-identical
    to an uninterrupted one *)
-let run_dse_anytime app ~interconnects ~tile_counts ~max_slices ~jobs ~deadline
-    ~task_timeout ~retries ~checkpoint ~resume ~analysis =
+let run_dse_anytime app ~interconnects ~tile_counts ~max_slices ~options ~jobs
+    ~deadline ~task_timeout ~retries ~checkpoint ~resume =
   let metrics = Obs.Metrics.create () in
   let deadline = Option.map Exec.Budget.after deadline in
   let retry =
@@ -374,47 +397,17 @@ let run_dse_anytime app ~interconnects ~tile_counts ~max_slices ~jobs ~deadline
   let cancel = Exec.Budget.token () in
   cancel_on_sigint cancel;
   match
-    Core.Dse.explore_anytime app ?tile_counts ~interconnects
-      ~options:(Experiments.flow_options_with ~analysis ())
-      ~jobs ?deadline ?task_timeout ?retry ~cancel ?checkpoint ?resume
-      ~metrics ()
+    Core.Dse.explore_anytime app ?tile_counts ~interconnects ~options ~jobs
+      ?deadline ?task_timeout ?retry ~cancel ?checkpoint ?resume ~metrics ()
   with
   | Error msg ->
       Printf.eprintf "dse: %s\n" msg;
       exit_error
   | Ok a ->
       let summaries = a.Core.Dse.a_summaries in
-      Format.printf "%a@." Core.Dse.pp_summary_table summaries;
-      List.iter
-        (fun (tiles, interc, reason) ->
-          Printf.printf "infeasible: %d %s tile(s): %s\n" tiles interc reason)
+      print_sweep Core.Dse.pp_summary_table ~summary:Fun.id
+        ~pareto:Core.Dse.pareto_summaries ~max_slices summaries
         a.Core.Dse.a_failures;
-      Format.printf "@.Pareto front (guarantee vs. slices):@.%a@."
-        Core.Dse.pp_summary_table
-        (Core.Dse.pareto_summaries summaries);
-      (match max_slices with
-      | None -> ()
-      | Some budget -> (
-          let best =
-            List.fold_left
-              (fun best (s : Core.Dse.summary) ->
-                if s.s_slices > budget || s.s_guarantee = None then best
-                else
-                  match best with
-                  | Some (b : Core.Dse.summary)
-                    when Sdf.Rational.compare (Option.get b.s_guarantee)
-                           (Option.get s.s_guarantee)
-                         >= 0 ->
-                      best
-                  | Some _ | None -> Some s)
-              None summaries
-          in
-          match best with
-          | None -> Printf.printf "no feasible point within %d slices\n" budget
-          | Some s ->
-              Printf.printf "best under %d slices: %s with %d tile(s), %d \
-                             slices\n"
-                budget s.s_interconnect s.s_tile_count s.s_slices));
       Printf.printf "%d design point(s), %d infeasible\n"
         (List.length summaries)
         (List.length a.Core.Dse.a_failures);
@@ -436,7 +429,7 @@ let run_dse_anytime app ~interconnects ~tile_counts ~max_slices ~jobs ~deadline
    fixes actually pay — the second pass (clamped pool + warm analysis
    cache) must be strictly faster, and its Pareto front byte-identical to
    the sequential one. Exit 4 on a regression so the job fails loudly. *)
-let run_dse_assert_scaling app ~interconnects ~tile_counts ~jobs ~analysis =
+let run_dse_assert_scaling app ~interconnects ~tile_counts ~options ~jobs =
   if jobs < 2 then begin
     Printf.eprintf "dse: --assert-scaling needs -j 2 or more (got %d)\n" jobs;
     exit_error
@@ -445,9 +438,7 @@ let run_dse_assert_scaling app ~interconnects ~tile_counts ~jobs ~analysis =
     let sweep jobs =
       let start = Exec.Clock.now () in
       let points, _failures =
-        Core.Dse.explore app ?tile_counts ~interconnects
-          ~options:(Experiments.flow_options_with ~analysis ())
-          ~jobs ()
+        Core.Dse.explore app ?tile_counts ~interconnects ~options ~jobs ()
       in
       let seconds = Exec.Clock.elapsed_since start in
       (* compare the deterministic rendering: the summary table carries
@@ -477,7 +468,6 @@ let run_dse_assert_scaling app ~interconnects ~tile_counts ~jobs ~analysis =
 let run_dse interconnect sequence max_tiles max_slices jobs deadline
     task_timeout retries checkpoint resume no_memo assert_scaling analysis =
   let jobs = resolve_jobs jobs in
-  if no_memo then Sdf.Throughput.set_memoize false;
   match Mjpeg.Streams.by_name sequence with
   | None ->
       Printf.eprintf "unknown sequence %S; available: %s\n" sequence
@@ -505,49 +495,34 @@ let run_dse interconnect sequence max_tiles max_slices jobs deadline
           let tile_counts =
             Option.map (fun n -> List.init n (fun i -> i + 1)) max_tiles
           in
+          let options =
+            {
+              (Experiments.flow_options_with ~analysis ()) with
+              Mapping.Flow_map.memo = not no_memo;
+            }
+          in
           if assert_scaling then
-            run_dse_assert_scaling app ~interconnects ~tile_counts ~jobs
-              ~analysis
+            run_dse_assert_scaling app ~interconnects ~tile_counts ~options
+              ~jobs
           else if
             deadline <> None || task_timeout <> None || retries <> None
             || checkpoint <> None || resume <> None
           then
-            run_dse_anytime app ~interconnects ~tile_counts ~max_slices ~jobs
-              ~deadline ~task_timeout ~retries ~checkpoint ~resume ~analysis
+            run_dse_anytime app ~interconnects ~tile_counts ~max_slices
+              ~options ~jobs ~deadline ~task_timeout ~retries ~checkpoint
+              ~resume
           else begin
-          let start = Exec.Clock.now () in
-          let points, failures =
-            Core.Dse.explore app ?tile_counts ~interconnects
-              ~options:(Experiments.flow_options_with ~analysis ())
-              ~jobs ()
-          in
-          let seconds = Exec.Clock.elapsed_since start in
-          Format.printf "%a@." Core.Dse.pp_table points;
-          List.iter
-            (fun (tiles, interc, reason) ->
-              Printf.printf "infeasible: %d %s tile(s): %s\n" tiles interc
-                reason)
-            failures;
-          let front = Core.Dse.pareto points in
-          Format.printf "@.Pareto front (guarantee vs. slices):@.%a@."
-            Core.Dse.pp_table front;
-          (match max_slices with
-          | None -> ()
-          | Some budget -> (
-              match Core.Dse.best_under_area points ~max_slices:budget with
-              | None ->
-                  Printf.printf
-                    "no feasible point within %d slices\n" budget
-              | Some p ->
-                  Printf.printf
-                    "best under %d slices: %s with %d tile(s), %d slices\n"
-                    budget
-                    (Core.Dse.interconnect_label p.Core.Dse.interconnect)
-                    p.Core.Dse.tile_count p.Core.Dse.slices));
-          Printf.printf
-            "%d design point(s), %d infeasible, %.2f s wall on %d domain(s)\n"
-            (List.length points) (List.length failures) seconds jobs;
-          0
+            let start = Exec.Clock.now () in
+            let points, failures =
+              Core.Dse.explore app ?tile_counts ~interconnects ~options ~jobs ()
+            in
+            let seconds = Exec.Clock.elapsed_since start in
+            print_sweep Core.Dse.pp_table ~summary:Core.Dse.summarize
+              ~pareto:Core.Dse.pareto ~max_slices points failures;
+            Printf.printf
+              "%d design point(s), %d infeasible, %.2f s wall on %d domain(s)\n"
+              (List.length points) (List.length failures) seconds jobs;
+            0
           end)
 
 let dse_cmd =
@@ -685,9 +660,9 @@ let write_file path contents =
 let run_profile seed interconnect sequence passes iterations out_dir jobs
     no_memo analysis =
   let jobs = resolve_jobs jobs in
-  if no_memo then Sdf.Throughput.set_memoize false;
   let ( let* ) = Result.bind in
   let flow_err r = Result.map_error Core.Flow_error.to_string r in
+  let memo = not no_memo in
   let result =
     match seed with
     | Some seed ->
@@ -696,7 +671,8 @@ let run_profile seed interconnect sequence passes iterations out_dir jobs
         let* flow =
           flow_err
             (Core.Design_flow.run_auto w.Gen.Workload.application
-               ~options:{ Mapping.Flow_map.default_options with analysis }
+               ~options:
+                 { Mapping.Flow_map.default_options with analysis; memo }
                choice ())
         in
         let iters = Option.value iterations ~default:50 in
@@ -716,7 +692,11 @@ let run_profile seed interconnect sequence passes iterations out_dir jobs
             let* flow =
               flow_err
                 (Core.Design_flow.run_auto app
-                   ~options:(Experiments.flow_options_with ~analysis ())
+                   ~options:
+                     {
+                       (Experiments.flow_options_with ~analysis ()) with
+                       memo;
+                     }
                    (interconnect_of interconnect) ())
             in
             let iters =
@@ -870,7 +850,6 @@ let experiments_cmd =
 let run_conformance count base_seed out_dir replay jobs seed_timeout no_memo
     analysis =
   let jobs = resolve_jobs jobs in
-  if no_memo then Sdf.Throughput.set_memoize false;
   let options =
     {
       Conformance.Engine.default_options with
@@ -973,7 +952,7 @@ let link_scenario ~at_cycle s =
   | None -> Recover.Kill_channel { channel = s; at_cycle }
 
 let outcome_json scenario outcome =
-  let module Json = Core.Json in
+  let module Json = Jsonkit.Json in
   (* Report.to_json already returns serialized JSON; re-parse it so the
      outcome document nests it structurally instead of by string splicing *)
   let report_value s =

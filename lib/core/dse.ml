@@ -99,65 +99,54 @@ let export_memo_delta m ~before ~mcm_before =
     ~by:(mcm.Sdf.Throughput.fallbacks - mcm_before.Sdf.Throughput.fallbacks)
     "sdf.mcm.fallbacks"
 
-let explore app ?tile_counts ?interconnects ?options ?(jobs = 1) ?metrics () =
-  let combos = sweep_combos app ?tile_counts ?interconnects () in
-  let eval combo = eval_point app options combo in
-  let memo_before = Sdf.Throughput.memo_stats () in
-  let mcm_before = Sdf.Throughput.mcm_stats () in
-  let outcomes =
-    (* [jobs <= 1] stays a plain loop — no pool, so the sweep can run
-       inside a task of an outer pool (the conformance Pareto oracle) *)
-    if jobs <= 1 then List.map eval combos
-    else Exec.Pool.with_pool ~jobs (fun pool -> Exec.Pool.map pool eval combos)
+let rec take n = function
+  | [] -> ([], [])
+  | xs when n <= 0 -> ([], xs)
+  | x :: xs ->
+      let chunk, rest = take (n - 1) xs in
+      (x :: chunk, rest)
+
+(* The one sweep loop. [combos] are evaluated [chunk] at a time: [eval]
+   gets the pool (one round per chunk) or, at [jobs <= 1], no pool at all,
+   so a sequential sweep can itself run inside a task of an outer pool
+   (the conformance Pareto oracle). Before each chunk [stop] may end the
+   sweep; after each chunk [on_chunk] receives the chunk and its outcomes
+   in sweep order. Returns the reason [stop] gave, if it fired. *)
+let sweep ~jobs ~chunk ~stop ~on_chunk eval combos =
+  let run pool =
+    let rec loop = function
+      | [] -> None
+      | pending -> (
+          match stop () with
+          | Some _ as reason -> reason
+          | None ->
+              let now, rest = take chunk pending in
+              on_chunk now (eval pool now);
+              loop rest)
+    in
+    loop combos
   in
-  let points, failures = List.partition_map Fun.id outcomes in
-  (match metrics with
-  | None -> ()
-  | Some m ->
-      let open Obs.Metrics in
-      incr m ~by:(List.length points) "dse.points.evaluated";
-      incr m ~by:(List.length failures) "dse.points.infeasible";
-      (* per-point wall time, recorded after the fan-out so the shared
-         registry is only touched from the calling domain *)
-      List.iter
-        (fun p ->
-          observe m "dse.point.us"
-            (int_of_float (p.flow_seconds *. 1_000_000.)))
-        points;
-      export_memo_delta m ~before:memo_before ~mcm_before);
-  (points, failures)
+  if jobs <= 1 then run None
+  else Exec.Pool.with_pool ~jobs (fun pool -> run (Some pool))
 
-let dominates a b =
-  match (a.guarantee, b.guarantee) with
-  | Some ga, Some gb ->
-      Rational.compare ga gb >= 0
-      && a.slices <= b.slices
-      && (Rational.compare ga gb > 0 || a.slices < b.slices)
-  | Some _, None -> true
-  | None, _ -> false
+(* one chunk holding every combo — all points in one pool round, no
+   barrier — and no budget: an exception inside a point escapes *)
+let explore app ?tile_counts ?interconnects ?options ?(jobs = 1) () =
+  let combos = sweep_combos app ?tile_counts ?interconnects () in
+  let eval_one = eval_point app options in
+  let outcomes = ref [] in
+  ignore
+    (sweep ~jobs ~chunk:(List.length combos)
+       ~stop:(fun () -> None)
+       ~on_chunk:(fun _ chunk_outcomes -> outcomes := chunk_outcomes)
+       (fun pool chunk ->
+         match pool with
+         | None -> List.map eval_one chunk
+         | Some pool -> Exec.Pool.map pool eval_one chunk)
+       combos);
+  List.partition_map Fun.id !outcomes
 
-let pareto points =
-  points
-  |> List.filter (fun p ->
-         p.guarantee <> None
-         && not (List.exists (fun other -> dominates other p) points))
-  |> List.sort (fun a b -> compare a.slices b.slices)
-
-let best_under_area points ~max_slices =
-  List.fold_left
-    (fun best p ->
-      if p.slices > max_slices then best
-      else
-        match (p.guarantee, best) with
-        | None, _ -> best
-        | Some _, None -> Some p
-        | Some g, Some current -> (
-            match current.guarantee with
-            | Some gc when Rational.compare gc g >= 0 -> best
-            | Some _ | None -> Some p))
-    None points
-
-(* --- anytime exploration ----------------------------------------------------- *)
+(* --- results --------------------------------------------------------------------- *)
 
 type summary = {
   s_interconnect : string;
@@ -174,6 +163,75 @@ let summarize p =
     s_slices = p.slices;
   }
 
+(* Every result helper works on summaries; [summary] projects the caller's
+   rows (points or summaries) onto them, so each rule exists once. *)
+
+let dominates a b =
+  match (a.s_guarantee, b.s_guarantee) with
+  | Some ga, Some gb ->
+      Rational.compare ga gb >= 0
+      && a.s_slices <= b.s_slices
+      && (Rational.compare ga gb > 0 || a.s_slices < b.s_slices)
+  | Some _, None -> true
+  | None, _ -> false
+
+let front summary rows =
+  let pairs = List.map (fun row -> (summary row, row)) rows in
+  pairs
+  |> List.filter (fun (s, _) ->
+         s.s_guarantee <> None
+         && not (List.exists (fun (other, _) -> dominates other s) pairs))
+  |> List.stable_sort (fun (a, _) (b, _) -> compare a.s_slices b.s_slices)
+  |> List.map snd
+
+(* highest guarantee within the area budget; on equal guarantees the
+   earliest row wins *)
+let best summary rows ~max_slices =
+  List.fold_left
+    (fun best row ->
+      let s = summary row in
+      match (s.s_guarantee, best) with
+      | None, _ -> best
+      | Some _, _ when s.s_slices > max_slices -> best
+      | Some _, None -> Some (s, row)
+      | Some g, Some (current, _) -> (
+          match current.s_guarantee with
+          | Some gc when Rational.compare gc g >= 0 -> best
+          | Some _ | None -> Some (s, row)))
+    None rows
+  |> Option.map snd
+
+let guarantee_string = function
+  | Some g -> Rational.to_string g
+  | None -> "-"
+
+let pp_rows summary ?time ppf rows =
+  let timed = Option.is_some time in
+  Format.fprintf ppf "@[<v>%-6s %-6s %16s %10s" "interc" "tiles"
+    "guarantee(it/c)" "slices";
+  if timed then Format.fprintf ppf " %9s" "time(s)";
+  Format.fprintf ppf "@,%s@," (String.make (if timed then 52 else 41) '-');
+  List.iter
+    (fun row ->
+      let s = summary row in
+      Format.fprintf ppf "%-6s %-6d %16s %10d" s.s_interconnect s.s_tile_count
+        (guarantee_string s.s_guarantee)
+        s.s_slices;
+      Option.iter (fun time -> Format.fprintf ppf " %9.2f" (time row)) time;
+      Format.fprintf ppf "@,")
+    rows;
+  Format.fprintf ppf "@]"
+
+let pareto_summaries = front Fun.id
+let pareto = front summarize
+let best_summary = best Fun.id
+let best_under_area = best summarize
+let pp_summary_table ppf summaries = pp_rows Fun.id ppf summaries
+let pp_table ppf points =
+  pp_rows summarize ~time:(fun p -> p.flow_seconds) ppf points
+
+(* --- anytime exploration ----------------------------------------------------- *)
+
 type degradation = {
   d_reason : Exec.Budget.reason;
   d_evaluated : int;
@@ -187,38 +245,6 @@ type anytime = {
   a_resumed : int;
   a_degradation : degradation option;
 }
-
-let dominates_summary a b =
-  match (a.s_guarantee, b.s_guarantee) with
-  | Some ga, Some gb ->
-      Rational.compare ga gb >= 0
-      && a.s_slices <= b.s_slices
-      && (Rational.compare ga gb > 0 || a.s_slices < b.s_slices)
-  | Some _, None -> true
-  | None, _ -> false
-
-let pareto_summaries summaries =
-  summaries
-  |> List.filter (fun s ->
-         s.s_guarantee <> None
-         && not (List.exists (fun other -> dominates_summary other s) summaries))
-  |> List.sort (fun a b -> compare a.s_slices b.s_slices)
-
-let best_summary summaries =
-  List.fold_left
-    (fun best s ->
-      match (s.s_guarantee, best) with
-      | None, _ -> best
-      | Some _, None -> Some s
-      | Some g, Some current -> (
-          match current.s_guarantee with
-          | Some gc
-            when Rational.compare gc g > 0
-                 || (Rational.compare gc g = 0
-                    && current.s_slices <= s.s_slices) ->
-              best
-          | Some _ | None -> Some s))
-    None summaries
 
 (* failure strings recorded in checkpoints must not mention task indices or
    wall times: a resumed sweep re-runs with different indices and must still
@@ -238,13 +264,6 @@ let budget_failure_reason (f : Exec.Pool.task_failure) =
       Printf.sprintf "timed out (%s, %d attempt%s)" budget_s attempts
         (if attempts = 1 then "" else "s")
   | Exec.Pool.Cancelled _ -> "cancelled"
-
-let rec take n = function
-  | [] -> ([], [])
-  | xs when n <= 0 -> ([], xs)
-  | x :: xs ->
-      let chunk, rest = take (n - 1) xs in
-      (x :: chunk, rest)
 
 let explore_anytime app ?tile_counts ?interconnects ?options ?(jobs = 1)
     ?deadline ?task_timeout ?retry ?cancel ?checkpoint ?resume ?metrics () =
@@ -287,7 +306,6 @@ let explore_anytime app ?tile_counts ?interconnects ?options ?(jobs = 1)
   let timeouts = ref 0 in
   let gave_up = ref 0 in
   let retries = ref 0 in
-  let stop_reason = ref None in
   let current_entries () =
     List.filter_map (fun c -> Hashtbl.find_opt tbl (combo_key c)) combos
   in
@@ -343,35 +361,29 @@ let explore_anytime app ?tile_counts ?interconnects ?options ?(jobs = 1)
           (Dse_checkpoint.Failed
              { interconnect = label; tiles; reason = budget_failure_reason f })
   in
-  let run eval_chunk =
-    let chunk_size = Stdlib.max 1 jobs in
-    let rec loop pending =
-      match pending with
-      | [] -> ()
-      | _ when cancelled () -> stop_reason := Some Exec.Budget.Cancelled
-      | _ when expired () -> stop_reason := Some Exec.Budget.Deadline
-      | _ ->
-          let chunk, rest = take chunk_size pending in
-          let outcomes = eval_chunk chunk in
-          List.iter2 process chunk outcomes;
-          write_ckpt ();
-          loop rest
-    in
-    loop pending
+  let eval_one = eval_point app options in
+  let stop_reason =
+    sweep ~jobs ~chunk:(Stdlib.max 1 jobs)
+      ~stop:(fun () ->
+        if cancelled () then Some Exec.Budget.Cancelled
+        else if expired () then Some Exec.Budget.Deadline
+        else None)
+      ~on_chunk:(fun chunk outcomes ->
+        List.iter2 process chunk outcomes;
+        write_ckpt ())
+      (fun pool chunk ->
+        match pool with
+        | None ->
+            List.mapi
+              (fun i combo ->
+                Exec.Pool.run_budgeted ?timeout:task_timeout ?deadline ?retry
+                  ?cancel ~task_index:i (fun () -> eval_one combo))
+              chunk
+        | Some pool ->
+            Exec.Pool.map_result pool ?timeout:task_timeout ?deadline ?retry
+              ?cancel eval_one chunk)
+      pending
   in
-  let eval combo = eval_point app options combo in
-  (if jobs <= 1 then
-     run (fun chunk ->
-         List.mapi
-           (fun i combo ->
-             Exec.Pool.run_budgeted ?timeout:task_timeout ?deadline ?retry
-               ?cancel ~task_index:i (fun () -> eval combo))
-           chunk)
-   else
-     Exec.Pool.with_pool ~jobs (fun pool ->
-         run (fun chunk ->
-             Exec.Pool.map_result pool ?timeout:task_timeout ?deadline ?retry
-               ?cancel eval chunk)));
   (* always leave a final checkpoint: a run stopped before its first chunk
      must still produce a resumable (possibly empty) file, and --resume of
      a finished sweep is then a no-op rather than an error *)
@@ -397,18 +409,21 @@ let explore_anytime app ?tile_counts ?interconnects ?options ?(jobs = 1)
     if skipped = 0 then None
     else
       let d_reason =
-        match !stop_reason with
+        match stop_reason with
         | Some r -> r
         | None ->
             if cancelled () then Exec.Budget.Cancelled
             else Exec.Budget.Deadline
       in
+      (* the front, sorted by area, puts the fewest slices first among the
+         highest guarantees *)
       Some
         {
           d_reason;
           d_evaluated = !evaluated;
           d_skipped = skipped;
-          d_best = best_summary summaries;
+          d_best =
+            best_summary (pareto_summaries summaries) ~max_slices:max_int;
         }
   in
   (match metrics with
@@ -431,21 +446,6 @@ let explore_anytime app ?tile_counts ?interconnects ?options ?(jobs = 1)
       a_degradation = degradation;
     }
 
-let pp_summary_table ppf summaries =
-  Format.fprintf ppf "@[<v>%-6s %-6s %16s %10s@," "interc" "tiles"
-    "guarantee(it/c)" "slices";
-  Format.fprintf ppf "%s@," (String.make 41 '-');
-  List.iter
-    (fun s ->
-      Format.fprintf ppf "%-6s %-6d %16s %10d@," s.s_interconnect
-        s.s_tile_count
-        (match s.s_guarantee with
-        | Some g -> Rational.to_string g
-        | None -> "-")
-        s.s_slices)
-    summaries;
-  Format.fprintf ppf "@]"
-
 let pp_degradation ppf d =
   Format.fprintf ppf
     "@[<v>partial result (%a): %d point%s evaluated, %d skipped@,%t@]"
@@ -458,23 +458,5 @@ let pp_degradation ppf d =
       | Some s ->
           Format.fprintf ppf "tightest bound so far: %s/%d tiles, %s it/cycle, %d slices"
             s.s_interconnect s.s_tile_count
-            (match s.s_guarantee with
-            | Some g -> Rational.to_string g
-            | None -> "-")
+            (guarantee_string s.s_guarantee)
             s.s_slices)
-
-let pp_table ppf points =
-  Format.fprintf ppf "@[<v>%-6s %-6s %16s %10s %9s@," "interc" "tiles"
-    "guarantee(it/c)" "slices" "time(s)";
-  Format.fprintf ppf "%s@," (String.make 52 '-');
-  List.iter
-    (fun p ->
-      Format.fprintf ppf "%-6s %-6d %16s %10d %9.2f@,"
-        (interconnect_label p.interconnect)
-        p.tile_count
-        (match p.guarantee with
-        | Some g -> Rational.to_string g
-        | None -> "-")
-        p.slices p.flow_seconds)
-    points;
-  Format.fprintf ppf "@]"

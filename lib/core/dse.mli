@@ -26,7 +26,6 @@ val explore :
   ?interconnects:Arch.Template.interconnect_choice list ->
   ?options:Mapping.Flow_map.options ->
   ?jobs:int ->
-  ?metrics:Obs.Metrics.t ->
   unit ->
   point list * (int * string * string) list
 (** Run the flow on every (tile count, interconnect) combination. Defaults:
@@ -35,37 +34,21 @@ val explore :
     bindings in [options] are dropped for platforms with fewer tiles than
     they reference.
 
-    [jobs] (default 1) fans the sweep out over an {!Exec.Pool} with one
-    task per design point. Points and failures come back in the
+    This is {!explore_anytime}'s sweep loop with a single chunk, no
+    checkpoint and no budget. [jobs] (default 1) fans the points out over
+    an {!Exec.Pool} in one round. Points and failures come back in the
     sequential sweep's order regardless of [jobs] — only [flow_seconds]
     (wall time of each point's flow) may differ between runs. With
     [jobs <= 1] no pool is created, so a sequential sweep may itself run
-    inside a pool task.
+    inside a pool task. An exception inside a point — an ambient
+    {!Exec.Budget.Expired} included — escapes [explore]. *)
 
-    [metrics] receives the sweep's instrumentation after the fan-out
-    completes (never from worker domains): [dse.points.evaluated] /
-    [dse.points.infeasible] counters, a [dse.point.us] per-point
-    wall-time histogram, and the shared analysis cache's activity
-    during this sweep as [sdf.memo.hits] / [sdf.memo.misses] /
-    [sdf.memo.evictions] counters and an [sdf.memo.entries] gauge. *)
+(** {1 Results}
 
-val pareto : point list -> point list
-(** The throughput/area Pareto front: points not dominated by another with
-    at least the same guarantee and at most the same area. Sorted by area.
-    Points without a guarantee never enter the front. *)
-
-val best_under_area : point list -> max_slices:int -> point option
-(** Highest guarantee among points within the area budget. *)
-
-val pp_table : Format.formatter -> point list -> unit
-
-(** {1 Anytime exploration}
-
-    A sweep that can stop on a wall-clock deadline, checkpoint what it
-    has, and resume exactly where it stopped. Results are {!summary}
-    values — the deterministic projection of a {!point} (no wall times,
-    no flow), which is what makes a resumed report byte-identical to an
-    uninterrupted one. *)
+    One implementation each of dominance, the Pareto filter, best-under-area
+    and the table, all over {!summary}, the deterministic projection of a
+    {!point} (no wall time, no flow). The point-level names go through
+    {!summarize}. *)
 
 type summary = {
   s_interconnect : string;  (** {!interconnect_label} of the point *)
@@ -76,11 +59,41 @@ type summary = {
 
 val summarize : point -> summary
 
+val pareto_summaries : summary list -> summary list
+(** The throughput/area Pareto front: summaries not dominated by another
+    with at least the same guarantee and at most the same area. Sorted by
+    area, sweep order among equal areas. Summaries without a guarantee
+    never enter the front. *)
+
+val best_summary : summary list -> max_slices:int -> summary option
+(** Highest guarantee among summaries within the area budget; on equal
+    guarantees the first in sweep order wins. *)
+
+val pp_summary_table : Format.formatter -> summary list -> unit
+(** The sweep table — stable across runs. *)
+
+val pareto : point list -> point list
+(** {!pareto_summaries} on points; returns the points themselves. *)
+
+val best_under_area : point list -> max_slices:int -> point option
+(** {!best_summary} on points. *)
+
+val pp_table : Format.formatter -> point list -> unit
+(** {!pp_summary_table} plus each point's wall-time column. *)
+
+(** {1 Anytime exploration}
+
+    A sweep that can stop on a wall-clock deadline, checkpoint what it
+    has, and resume exactly where it stopped. Results are {!summary}
+    values, which is what makes a resumed report byte-identical to an
+    uninterrupted one. *)
+
 type degradation = {
   d_reason : Exec.Budget.reason;  (** why the sweep stopped early *)
   d_evaluated : int;  (** points evaluated in this run *)
   d_skipped : int;  (** points not evaluated before the budget ran out *)
-  d_best : summary option;  (** tightest bound so far: highest guarantee *)
+  d_best : summary option;
+      (** tightest bound so far: highest guarantee, then fewest slices *)
 }
 
 type anytime = {
@@ -107,7 +120,7 @@ val explore_anytime :
   unit ->
   (anytime, string) result
 (** {!explore}, budgeted. The sweep runs in chunks of [jobs] design
-    points; between chunks it checks [deadline] and [cancel], and after
+    points (one pool round each); between chunks it checks [deadline] and [cancel], and after
     every chunk it atomically rewrites [checkpoint] (see
     {!Dse_checkpoint}). Each point additionally runs under [task_timeout]
     / [retry] via {!Exec.Pool.run_budgeted}, so one pathological design
@@ -121,14 +134,11 @@ val explore_anytime :
     remainder — the combined result is byte-identical to an uninterrupted
     run. [Error] is returned only for an unusable [resume] file.
 
-    [metrics] receives [dse.points.evaluated] / [.skipped] / [.resumed]
-    and [dse.checkpoint.writes] counters, plus the analysis-cache
-    activity counters described at {!explore}. *)
-
-val pareto_summaries : summary list -> summary list
-(** {!pareto} on summaries. *)
-
-val pp_summary_table : Format.formatter -> summary list -> unit
-(** {!pp_table} without the wall-time column — stable across runs. *)
+    [metrics] receives [dse.points.evaluated] / [.skipped] / [.resumed],
+    [dse.checkpoint.writes] and [exec.task.timeouts] / [.gave_up] /
+    [.retries] counters, and the shared analysis cache's activity during
+    this sweep: [sdf.memo.hits] / [.misses] / [.evictions] and
+    [sdf.mcm.runs] / [.fallbacks] counters and an [sdf.memo.entries]
+    gauge. *)
 
 val pp_degradation : Format.formatter -> degradation -> unit

@@ -301,8 +301,7 @@ let first_iteration_latency t =
   | Execution.Finished -> Some outcome.Execution.end_time
   | Execution.Deadlocked | Execution.Out_of_budget -> None
 
-let reanalyse t ~times ?(max_steps = default_options.throughput_max_steps)
-    ?(memo = true) ?(analysis = `State_space) () =
+let reanalyse t ~times ?(analysis = `State_space) () =
   let ( let* ) = Result.bind in
   let retimed =
     Graph.with_execution_times t.timed_graph (fun a ->
@@ -327,10 +326,12 @@ let reanalyse t ~times ?(max_steps = default_options.throughput_max_steps)
       max_firings = 50_000_000;
     }
   in
-  let analyse = if memo then Throughput.analyse_memo else Throughput.analyse in
+  let analyse =
+    if t.options.memo then Throughput.analyse_memo else Throughput.analyse
+  in
   Ok
-    (analyse ~options:exec_options ~max_steps ~method_:analysis
-       expansion.Comm_map.graph)
+    (analyse ~options:exec_options ~max_steps:t.options.throughput_max_steps
+       ~method_:analysis expansion.Comm_map.graph)
 
 let to_xml t =
   let module Xml = Xmlkit.Xml in

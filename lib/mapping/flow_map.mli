@@ -27,9 +27,9 @@ type options = {
   throughput_max_steps : int;  (** state-space budget for the analysis *)
   memo : bool;
       (** route throughput analyses through the shared
-          {!Sdf.Throughput.analyse_memo} cache (default [true]; results
-          are byte-identical either way — the CLI's [--no-memo] clears
-          this for measurement) *)
+          {!Sdf.Throughput.analyse_memo} cache, {!reanalyse} included
+          (default [true]; results are byte-identical either way — the
+          CLI's [--no-memo] clears this for measurement) *)
   analysis : Sdf.Throughput.method_;
       (** throughput analysis method (default [`State_space]; the CLI's
           [--analysis] flag selects [`Mcm]/[`Auto] — any method returns the
@@ -114,15 +114,15 @@ val first_iteration_latency : t -> int option
     platform model. [None] if the model cannot complete an iteration. *)
 
 val reanalyse :
-  t -> times:(string -> int) -> ?max_steps:int -> ?memo:bool ->
-  ?analysis:Sdf.Throughput.method_ -> unit ->
+  t -> times:(string -> int) -> ?analysis:Sdf.Throughput.method_ -> unit ->
   (Sdf.Throughput.result, string) result
 (** Re-run the throughput analysis of an existing mapping with different
     application-actor execution times (by actor name) — binding, buffer
     sizes, schedules and communication parameters unchanged. This computes
     the paper's "expected" throughput: the SDF3 prediction fed with
     measured instead of worst-case times (§6.1). [analysis] selects the
-    method (default [`State_space]). *)
+    method (default [`State_space]); the step budget and the use of the
+    analysis cache come from the mapping's own [options]. *)
 
 val pp_summary : Format.formatter -> t -> unit
 

@@ -101,11 +101,8 @@ let most_blocking ~options g' owners =
     None owners
 
 let trade_off ?(options = Execution.default_options) ?(max_rounds = 64)
-    ?(memo = true) ?(analysis = `Auto) ?bounded g =
-  let analyse =
-    (if memo then Throughput.analyse_memo else Throughput.analyse)
-      ~method_:analysis
-  in
+    ?(analysis = `Auto) ?bounded g =
+  let analyse = Throughput.analyse_memo ~method_:analysis in
   let bounded, original_channels = bounded_channels ?bounded g in
   let capacities = Array.make (Array.length original_channels) 0 in
   Array.iteri
@@ -150,11 +147,8 @@ let trade_off ?(options = Execution.default_options) ?(max_rounds = 64)
   sweep 0 Rational.zero []
 
 let size_for_throughput ?(options = Execution.default_options)
-    ?(max_rounds = 64) ?(memo = true) ?(analysis = `Auto) ?bounded g ~target =
-  let analyse =
-    (if memo then Throughput.analyse_memo else Throughput.analyse)
-      ~method_:analysis
-  in
+    ?(max_rounds = 64) ?(analysis = `Auto) ?bounded g ~target =
+  let analyse = Throughput.analyse_memo ~method_:analysis in
   let bounded, original_channels = bounded_channels ?bounded g in
   let capacities = Array.make (Array.length original_channels) 0 in
   Array.iteri

@@ -36,7 +36,6 @@ type sizing = {
 val size_for_throughput :
   ?options:Execution.options ->
   ?max_rounds:int ->
-  ?memo:bool ->
   ?analysis:Throughput.method_ ->
   ?bounded:(Graph.channel -> bool) ->
   Graph.t ->
@@ -44,9 +43,8 @@ val size_for_throughput :
   sizing option
 (** Find capacities (for the channels selected by [bounded], default: all
     non-self-loop channels) achieving at least [target] iterations/cycle.
-    Each round's analysis goes through {!Throughput.analyse_memo} unless
-    [~memo:false] — neighbouring searches revisit the same bounded
-    graphs, and results are identical either way.
+    Each round's analysis goes through {!Throughput.analyse_memo}:
+    neighbouring searches revisit the same bounded graphs.
     [analysis] picks the throughput method per round (default [`Auto]:
     the search re-analyses many near-identical graphs, exactly where the
     symbolic method pays; [`State_space] is the escape hatch and yields
@@ -65,7 +63,6 @@ type trade_off_point = {
 val trade_off :
   ?options:Execution.options ->
   ?max_rounds:int ->
-  ?memo:bool ->
   ?analysis:Throughput.method_ ->
   ?bounded:(Graph.channel -> bool) ->
   Graph.t ->

@@ -132,10 +132,6 @@ let analyse ?(options = Execution.default_options) ?(max_steps = 200_000)
    makes the sharing pay. Bounded, so a long mapping-as-a-service
    process cannot grow it without limit. *)
 let cache : result Memo.t = Memo.create ~capacity:4096 ()
-let memo_enabled = Atomic.make true
-
-let set_memoize b = Atomic.set memo_enabled b
-let memoize_enabled () = Atomic.get memo_enabled
 let memo_stats () = Memo.stats cache
 let memo_clear () = Memo.clear cache
 
@@ -159,39 +155,34 @@ let analyse_memo ?(options = Execution.default_options) ?(max_steps = 200_000)
             Atomic.incr mcm_fallbacks;
             `State_space)
   in
-  if not (Atomic.get memo_enabled) then
-    match resolved with
-    | `State_space -> analyse_state_space ~options ~max_steps g
-    | `Mcm -> run_mcm_or_fallback ~options ~max_steps g
-  else
-    match Execution.options_key options with
-    | None ->
-        (* closures in the options: unkeyable, run it for real (the
-           precheck rejects closures, so this is always state space) *)
-        analyse_state_space ~options ~max_steps g
-    | Some opts_key -> (
-        match resolved with
-        | `State_space ->
-            let key =
-              String.concat "\x00"
-                [ Graph.structural_key g; opts_key; string_of_int max_steps ]
-            in
-            Memo.find_or_add cache key (fun () ->
-                analyse_state_space ~options ~max_steps g)
-        | `Mcm ->
-            (* max_steps stays in the key: a rare run-time fallback still
-               depends on it, and the key must cover every input *)
-            let key =
-              String.concat "\x00"
-                [
-                  Graph.structural_key g;
-                  opts_key;
-                  string_of_int max_steps;
-                  "mcm";
-                ]
-            in
-            Memo.find_or_add cache key (fun () ->
-                run_mcm_or_fallback ~options ~max_steps g))
+  match Execution.options_key options with
+  | None ->
+      (* closures in the options: unkeyable, run it for real (the
+         precheck rejects closures, so this is always state space) *)
+      analyse_state_space ~options ~max_steps g
+  | Some opts_key -> (
+      match resolved with
+      | `State_space ->
+          let key =
+            String.concat "\x00"
+              [ Graph.structural_key g; opts_key; string_of_int max_steps ]
+          in
+          Memo.find_or_add cache key (fun () ->
+              analyse_state_space ~options ~max_steps g)
+      | `Mcm ->
+          (* max_steps stays in the key: a rare run-time fallback still
+             depends on it, and the key must cover every input *)
+          let key =
+            String.concat "\x00"
+              [
+                Graph.structural_key g;
+                opts_key;
+                string_of_int max_steps;
+                "mcm";
+              ]
+          in
+          Memo.find_or_add cache key (fun () ->
+              run_mcm_or_fallback ~options ~max_steps g))
 
 let to_rational_opt = function
   | Throughput { throughput; _ } -> Some throughput

@@ -45,9 +45,14 @@ type result =
           small — a budget problem, not a verdict about the graph *)
 
 type method_ = [ `State_space | `Mcm | `Auto ]
-(** Analysis method selection, see the module preamble. Defaults to
-    [`State_space] everywhere, keeping historical outputs bit-identical;
-    the CLI's [--analysis] flag and {!Mapping.Flow_map.options} opt in. *)
+(** Analysis method selection, see the module preamble. Where each
+    default is set:
+    - [`State_space]: {!analyse} and {!analyse_memo},
+      {!Mapping.Flow_map.default_options}, the conformance engine's
+      options, and the CLI's [mjpeg], [profile] and [conformance]
+      commands ([--analysis]);
+    - [`Auto]: {!Buffers.size_for_throughput} and {!Buffers.trade_off},
+      the CLI's [dse] command, and a served job's [analysis] parameter. *)
 
 val analyse :
   ?options:Execution.options ->
@@ -72,7 +77,10 @@ val analyse :
     {!analyse_memo} consults one process-wide bounded {!Memo} table
     keyed by {!Graph.structural_key}, {!Execution.options_key} and
     [max_steps] — every input {!analyse} depends on — so a hit is
-    byte-identical to recomputation at any [-j] and with the cache off.
+    byte-identical to recomputation at any [-j] and with the cache
+    bypassed. Bypassing is the caller's choice, made by calling
+    {!analyse} instead: in the flow that is the [memo] field of
+    {!Mapping.Flow_map.options}, which the CLI's [--no-memo] clears.
     Runs whose options embed closures ([firing_time]/[on_event]) are
     never cached. The cache is shared across domains (thread-safe) and
     across [Dse.explore]/conformance calls in one process. *)
@@ -92,12 +100,6 @@ val analyse_memo :
     the two methods never share entries and resolution costs no
     expansion on a hit; state-space keys are unchanged from earlier
     releases. *)
-
-val set_memoize : bool -> unit
-(** Process-wide kill switch (the CLI's [--no-memo]): when [false],
-    {!analyse_memo} always recomputes. Default [true]. *)
-
-val memoize_enabled : unit -> bool
 
 val memo_stats : unit -> Memo.stats
 (** Hit/miss/eviction counters of the shared cache, for

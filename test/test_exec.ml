@@ -474,6 +474,23 @@ let temp_out name =
   Filename.concat (Filename.get_temp_dir_name ())
     ("mamps_exec_test_" ^ name)
 
+(* the conformance per-seed timeout relies on an ambient budget reaching the
+   points of a sweep: an expiry inside a point escapes [explore] at every
+   -j instead of becoming an infeasible point *)
+let test_dse_explore_propagates_budget () =
+  let w = Gen.Workload.generate ~seed:11 () in
+  let expired = Exec.Budget.scope ~deadline:(Exec.Budget.after 0.0) () in
+  List.iter
+    (fun jobs ->
+      match
+        Exec.Budget.with_scope expired (fun () ->
+            Core.Dse.explore w.Gen.Workload.application ~tile_counts:[ 1; 2 ]
+              ~jobs ())
+      with
+      | _ -> Alcotest.failf "explore at -j %d finished past its deadline" jobs
+      | exception Exec.Budget.Expired _ -> ())
+    [ 1; 2 ]
+
 let test_conformance_shard_deterministic () =
   let options =
     {
@@ -680,6 +697,43 @@ let test_anytime_midflight_resume () =
         Alcotest.(list (triple int string string))
         "mid-flight resume: failures byte-identical" u_fail r_fail
 
+(* a partial sweep's tightest bound: highest guarantee, then fewest
+   slices — checked on adopted checkpoint entries, so nothing depends on
+   where a deadline lands *)
+let test_anytime_tightest_bound () =
+  let app = (Gen.Workload.generate ~seed:11 ()).Gen.Workload.application in
+  let path = ckpt_path "tightest" in
+  let entry tiles slices =
+    Core.Dse_checkpoint.Feasible
+      {
+        interconnect = "fsl";
+        tiles;
+        guarantee = Some (Sdf.Rational.make 1 5);
+        slices;
+      }
+  in
+  Core.Dse_checkpoint.write ~path
+    {
+      Core.Dse_checkpoint.app = Appmodel.Application.name app;
+      entries = [ entry 1 300; entry 2 200 ];
+    };
+  match
+    Core.Dse.explore_anytime app ~tile_counts:[ 1; 2; 3 ]
+      ~interconnects:[ Arch.Template.Use_fsl Arch.Fsl.default ]
+      ~deadline:(Exec.Budget.after 0.0) ~resume:path ()
+  with
+  | Error msg -> Alcotest.fail msg
+  | Ok a -> (
+      match a.Core.Dse.a_degradation with
+      | None -> Alcotest.fail "expected a degradation report"
+      | Some d ->
+          check int "the unadopted point is skipped" 1 d.Core.Dse.d_skipped;
+          check bool "equal guarantees: fewest slices wins" true
+            (Option.map
+               (fun (s : Core.Dse.summary) -> s.s_tile_count)
+               d.Core.Dse.d_best
+            = Some 2))
+
 (* --- conformance per-seed timeout -------------------------------------------- *)
 
 let test_conformance_seed_timeout () =
@@ -784,7 +838,6 @@ let test_memo_table_hammer () =
     (s.Sdf.Memo.evictions + s.Sdf.Memo.size <= s.Sdf.Memo.misses)
 
 let test_analyse_memo_concurrent () =
-  Sdf.Throughput.set_memoize true;
   Sdf.Throughput.memo_clear ();
   let graphs =
     List.init 6 (fun i ->
@@ -876,6 +929,8 @@ let () =
             test_conformance_shard_deterministic;
           Alcotest.test_case "progress in seed order under -j" `Quick
             test_conformance_progress_in_seed_order;
+          Alcotest.test_case "explore lets a budget expiry escape" `Quick
+            test_dse_explore_propagates_budget;
         ] );
       ( "anytime",
         [
@@ -891,6 +946,8 @@ let () =
             test_conformance_seed_timeout;
           Alcotest.test_case "chrome trace counters" `Quick
             test_chrome_trace_counters;
+          Alcotest.test_case "tightest bound prefers fewer slices" `Quick
+            test_anytime_tightest_bound;
         ] );
       ( "memo",
         [

@@ -650,7 +650,51 @@ let test_dse () =
   let huge = Core.Dse.best_under_area points ~max_slices:max_int in
   check bool "best exists under infinite budget" true (huge <> None);
   check bool "nothing fits zero budget" true
-    (Core.Dse.best_under_area points ~max_slices:0 = None)
+    (Core.Dse.best_under_area points ~max_slices:0 = None);
+  (* the point table is the summary table plus a wall-time column *)
+  let lines pp rows =
+    String.split_on_char '\n' (Format.asprintf "%a" pp rows)
+    |> List.filter (( <> ) "")
+  in
+  List.iter2
+    (fun timed plain ->
+      check bool "one column wider" true
+        (String.length timed > String.length plain);
+      check Alcotest.string "same row without its time column" plain
+        (String.sub timed 0 (String.length plain)))
+    (lines Core.Dse.pp_table points)
+    (lines Core.Dse.pp_summary_table (List.map Core.Dse.summarize points))
+
+(* tie rules of the result helpers: the Pareto front keeps sweep order
+   among equal areas, best-under-area keeps the first of equal guarantees,
+   so the best point of the front has the fewest slices among the highest
+   guarantees (the anytime sweep's "tightest bound so far") *)
+let test_dse_tie_rules () =
+  let summary ic tiles g slices =
+    {
+      Core.Dse.s_interconnect = ic;
+      s_tile_count = tiles;
+      s_guarantee = Option.map (Rational.make 1) g;
+      s_slices = slices;
+    }
+  in
+  let a = summary "fsl" 1 (Some 10) 100
+  and b = summary "fsl" 2 (Some 5) 300
+  and c = summary "noc" 1 (Some 5) 200
+  and d = summary "noc" 2 (Some 5) 200
+  and e = summary "fsl" 3 None 50 in
+  let sweep = [ a; b; c; d; e ] in
+  let front = Core.Dse.pareto_summaries sweep in
+  check bool "front: by area, sweep order among equal areas" true
+    (front = [ a; c; d ]);
+  let best max_slices = Core.Dse.best_summary sweep ~max_slices in
+  check bool "first of the equal guarantees wins" true (best max_int = Some b);
+  check bool "budget excludes larger points" true (best 250 = Some c);
+  check bool "lower guarantee when nothing better fits" true
+    (best 150 = Some a);
+  check bool "no guarantee, no best" true (best 60 = None);
+  check bool "best of the front: fewest slices" true
+    (Core.Dse.best_summary front ~max_slices:max_int = Some c)
 
 let test_heterogeneous_selection () =
   (* the binder must pick the hardware implementation on the IP tile *)
@@ -750,5 +794,6 @@ let () =
           Alcotest.test_case "design space exploration" `Quick test_dse;
           Alcotest.test_case "heterogeneous selection" `Slow
             test_heterogeneous_selection;
+          Alcotest.test_case "dse result tie rules" `Quick test_dse_tie_rules;
         ] );
     ]

@@ -814,7 +814,6 @@ let test_methods_agree_mapped () =
         g2
 
 let test_methods_memo_agree () =
-  Throughput.set_memoize true;
   let g, _, _ = Tgraphs.two_cycle ~time_a:7 ~time_b:11 ~tokens:2 in
   let ss = Throughput.analyse g in
   let m1 = Throughput.analyse_memo ~method_:`Mcm g in
@@ -1115,7 +1114,6 @@ let test_memo_table_bounds () =
 let test_analyse_memo_correctness () =
   let g, _, _ = Tgraphs.two_cycle ~time_a:2 ~time_b:3 ~tokens:1 in
   let renamed = Graph.rename g "same-structure-different-name" in
-  Throughput.set_memoize true;
   let before = Throughput.memo_stats () in
   let direct = Throughput.analyse g in
   let cached = Throughput.analyse_memo g in
@@ -1127,14 +1125,46 @@ let test_analyse_memo_correctness () =
   let after = Throughput.memo_stats () in
   check bool "second and third calls were hits" true
     (after.Memo.hits - before.Memo.hits >= 2);
-  (* cache off: same results, no cache traffic *)
-  Throughput.set_memoize false;
-  check bool "kill switch reports off" false (Throughput.memoize_enabled ());
-  let off = Throughput.analyse_memo g in
-  check bool "cache-off result byte-identical" true (off = direct);
-  check int "cache-off adds no hits" after.Memo.hits
-    (Throughput.memo_stats ()).Memo.hits;
-  Throughput.set_memoize true;
+  (* cache off is a flow option: a mapping with [memo = false] (the CLI's
+     --no-memo) causes no cache traffic, also when re-analysed, and
+     predicts the same guarantee *)
+  let app = (Gen.Workload.generate ~seed:11 ()).Gen.Workload.application in
+  let platform =
+    match
+      Arch.Template.for_application app ~max_tiles:2
+        (Arch.Template.Use_fsl Arch.Fsl.default)
+    with
+    | Ok p -> p
+    | Error e -> Alcotest.fail e
+  in
+  let map memo =
+    match
+      Mapping.Flow_map.run app platform
+        ~options:{ Mapping.Flow_map.default_options with memo }
+        ()
+    with
+    | Ok m -> m
+    | Error e -> Alcotest.fail (Mapping.Flow_map.error_to_string e)
+  in
+  let cached = map true in
+  let s0 = Throughput.memo_stats () in
+  let off = map false in
+  let reanalysed =
+    Mapping.Flow_map.reanalyse off
+      ~times:(fun name ->
+        (Graph.actor_of_name off.Mapping.Flow_map.timed_graph name)
+          .execution_time)
+      ()
+  in
+  let s1 = Throughput.memo_stats () in
+  check int "cache-off adds no hits" s0.Memo.hits s1.Memo.hits;
+  check int "cache-off adds no misses" s0.Memo.misses s1.Memo.misses;
+  check bool "cache-off guarantee identical" true
+    (Mapping.Flow_map.throughput off = Mapping.Flow_map.throughput cached
+    && Mapping.Flow_map.throughput off <> None);
+  check bool "cache-off reanalysis identical" true
+    (Result.map Throughput.to_rational_opt reanalysed
+    = Ok (Mapping.Flow_map.throughput off));
   (* closures in the options are never keyed: every call recomputes *)
   let opts =
     {

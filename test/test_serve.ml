@@ -147,6 +147,61 @@ let test_job_spec_json_roundtrip () =
   | Error e -> Alcotest.failf "spec json roundtrip: %s" e
   | Ok s' -> check bool "spec roundtrips through json" true (s = s')
 
+(* a served DSE job: the sweep, its front and its degradation document *)
+let test_job_execute_dse () =
+  let run query =
+    Job.execute
+      (parse_spec ~query:([ ("mode", "dse"); ("tiles", "2") ] @ query)
+         (graph_body ()))
+  in
+  let point ic tiles slices =
+    Json.Obj
+      [
+        ("interconnect", Json.String ic);
+        ("tiles", Json.Int tiles);
+        ("guarantee", Json.Obj [ ("num", Json.Int 1); ("den", Json.Int 17) ]);
+        ("slices", Json.Int slices);
+      ]
+  in
+  let doc points pareto degradation =
+    Json.to_string
+      (Json.Obj
+         [
+           ("mode", Json.String "dse");
+           ("graph", Json.String "t");
+           ("points", Json.List points);
+           ("pareto", Json.List pareto);
+           ("failures", Json.Int 0);
+           ("degradation", degradation);
+         ])
+  in
+  let completed name expected outcome =
+    match outcome with
+    | Job.Completed d -> check string name expected (Json.to_string d)
+    | o -> Alcotest.failf "%s: expected completed, got %s" name
+             (Job.outcome_status o)
+  in
+  let fsl1 = point "fsl" 1 1760 in
+  completed "fsl sweep"
+    (doc [ fsl1; point "fsl" 2 3310 ] [ fsl1 ] Json.Null)
+    (run []);
+  let noc1 = point "noc" 1 2264 in
+  completed "noc sweep"
+    (doc [ noc1; point "noc" 2 4318 ] [ noc1 ] Json.Null)
+    (run [ ("interconnect", "noc") ]);
+  match run [ ("timeout", "0.000001") ] with
+  | Job.Timed_out (Some d) ->
+      check string "deadline before the first point"
+        (doc [] []
+           (Json.Obj
+              [
+                ("reason", Json.String "deadline exceeded");
+                ("evaluated", Json.Int 0);
+                ("skipped", Json.Int 2);
+              ]))
+        (Json.to_string d)
+  | o -> Alcotest.failf "expected a partial timeout, got %s" (Job.outcome_status o)
+
 (* --- journal ---------------------------------------------------------------- *)
 
 let with_journal name f =
@@ -520,6 +575,8 @@ let () =
           Alcotest.test_case "structural identity" `Quick test_job_identity;
           Alcotest.test_case "spec json roundtrip" `Quick
             test_job_spec_json_roundtrip;
+          Alcotest.test_case "dse execution pinned" `Quick
+            test_job_execute_dse;
         ] );
       ( "journal",
         [
