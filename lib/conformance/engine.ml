@@ -90,7 +90,9 @@ let check_workload ?(options = default_options) interconnect (w : W.t) =
       (* Oracle 9: the symbolic (max,+)/MCM analysis reproduces the
          state-space result on the mapped graph. Both methods run on the
          same expansion and options the flow analysed; a state-space
-         non-verdict makes no claim. *)
+         non-verdict makes no claim. The symbolic first-iteration latency
+         must equal the engine's one-iteration run, [None] exactly when
+         that run does not finish. *)
       (let module T = Sdf.Throughput in
        let m = flow.Core.Design_flow.mapping in
        let g = m.Mapping.Flow_map.expansion.Mapping.Comm_map.graph in
@@ -101,7 +103,7 @@ let check_workload ?(options = default_options) interconnect (w : W.t) =
          analyse ~options:exec_options ~max_steps ~method_:`State_space g
        in
        let mcm = analyse ~options:exec_options ~max_steps ~method_:`Mcm g in
-       match (ss, mcm) with
+       (match (ss, mcm) with
        | T.Throughput { throughput = t1; _ }, T.Throughput { throughput = t2; _ }
          ->
            if not (Rational.equal t1 t2) then
@@ -114,6 +116,17 @@ let check_workload ?(options = default_options) interconnect (w : W.t) =
              (Format.asprintf "%a" T.pp_result ss)
              (Format.asprintf "%a" T.pp_result other)
        | (T.No_recurrence | T.Budget_exhausted _), _ -> ());
+       let first = Sdf.Execution.run ~options:exec_options g ~iterations:1 in
+       let engine =
+         match first.Sdf.Execution.stop with
+         | Sdf.Execution.Finished -> Some first.Sdf.Execution.end_time
+         | Sdf.Execution.Deadlocked | Sdf.Execution.Out_of_budget -> None
+       in
+       let latency = Mapping.Flow_map.first_iteration_latency m in
+       let show = function None -> "none" | Some c -> string_of_int c in
+       if latency <> engine then
+         add Analysis_agreement "first-iteration latency %s, engine %s"
+           (show latency) (show engine));
       (* Oracles 2-4 on the data-dependent run. *)
       (match measure () with
       | Error e -> add No_deadlock "%s" (flow_err e)

@@ -56,7 +56,8 @@ let describe = function
        budget"
   | Analysis_agreement ->
       "symbolic (max,+)/MCM throughput analysis returns exactly the \
-       state-space result on the mapped graph"
+       state-space result on the mapped graph, and the symbolic \
+       first-iteration latency exactly the engine's"
 
 let pp ppf o = Format.pp_print_string ppf (name o)
 

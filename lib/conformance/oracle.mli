@@ -36,7 +36,11 @@ type t =
           {!Sdf.Hsdf} expansion) returns {e exactly} the state-space
           throughput on the mapped graph — same rational on a throughput
           verdict, deadlock iff deadlock; state-space non-verdicts
-          ([No_recurrence]/[Budget_exhausted]) make no claim *)
+          ([No_recurrence]/[Budget_exhausted]) make no claim — and
+          {!Mapping.Flow_map.first_iteration_latency} equals the
+          [end_time] of a one-iteration {!Sdf.Execution.run} on the same
+          expansion and options, [None] exactly when that run does not
+          finish *)
 
 val all : t list
 val name : t -> string

@@ -292,14 +292,56 @@ let analysis_budget t =
   | Throughput.No_recurrence ->
       None
 
+(* The first iteration of a self-timed HSDF run, symbolically: an edge
+   with initial tokens is satisfied from reset, so instance [v] starts once
+   its zero-token predecessors have finished, and the iteration ends with
+   the latest finish — a longest path over the zero-token edges, taken in
+   Kahn order. An instance on a zero-token cycle never starts. *)
+let zero_token_makespan (c : Sdf.Mcm.csr) =
+  let { Sdf.Mcm.time; row; succ; tokens } = c in
+  let n = Array.length time in
+  let pending = Array.make n 0 in
+  Array.iteri
+    (fun i v -> if tokens.(i) = 0 then pending.(v) <- pending.(v) + 1)
+    succ;
+  let start = Array.make n 0 and queue = Array.make n 0 in
+  let nq = ref 0 in
+  Array.iteri
+    (fun v p ->
+      if p = 0 then begin
+        queue.(!nq) <- v;
+        incr nq
+      end)
+    pending;
+  let latest = ref 0 and k = ref 0 in
+  while !k < !nq do
+    let u = queue.(!k) in
+    incr k;
+    let finish = start.(u) + time.(u) in
+    if finish > !latest then latest := finish;
+    for i = row.(u) to row.(u + 1) - 1 do
+      if tokens.(i) = 0 then begin
+        let v = succ.(i) in
+        if finish > start.(v) then start.(v) <- finish;
+        pending.(v) <- pending.(v) - 1;
+        if pending.(v) = 0 then begin
+          queue.(!nq) <- v;
+          incr nq
+        end
+      end
+    done
+  done;
+  if !nq = n then Some !latest else None
+
 let first_iteration_latency t =
-  let outcome =
-    Execution.run ~options:t.exec_options t.expansion.Comm_map.graph
-      ~iterations:1
-  in
-  match outcome.Execution.stop with
-  | Execution.Finished -> Some outcome.Execution.end_time
-  | Execution.Deadlocked | Execution.Out_of_budget -> None
+  let g = t.expansion.Comm_map.graph in
+  match Sdf.Hsdf.expand_csr ~options:t.exec_options g with
+  | Ok c -> zero_token_makespan c
+  | Error _ -> (
+      let outcome = Execution.run ~options:t.exec_options g ~iterations:1 in
+      match outcome.Execution.stop with
+      | Execution.Finished -> Some outcome.Execution.end_time
+      | Execution.Deadlocked | Execution.Out_of_budget -> None)
 
 let reanalyse t ~times ?(analysis = `State_space) () =
   let ( let* ) = Result.bind in

@@ -111,7 +111,16 @@ val analysis_budget : t -> int option
 val first_iteration_latency : t -> int option
 (** Worst-case pipeline fill: cycles from reset until the first complete
     graph iteration (the first MCU out, for the case study) on the mapped
-    platform model. [None] if the model cannot complete an iteration. *)
+    platform model. [None] if the model cannot complete an iteration.
+
+    Computed symbolically on {!Sdf.Hsdf.expand_csr} of the expansion under
+    [exec_options]: an edge with initial tokens holds from reset, so the
+    first iteration ends with the longest path over the zero-token edges,
+    taken in Kahn order; a zero-token cycle gives [None]. A graph the
+    expansion rejects (too large, inconsistent, unsupported options) runs
+    the execution engine for one iteration instead, as {!Sdf.Throughput}
+    falls back to the state space. The conformance suite holds both ways
+    equal on every seed. *)
 
 val reanalyse :
   t -> times:(string -> int) -> ?analysis:Sdf.Throughput.method_ -> unit ->

@@ -216,19 +216,30 @@ let strongly_connected c comp =
 (* Per-node state shared by every [howard] call of one analysis: component
    member sets are disjoint, so it lives in full-size arrays that need no
    clearing between components. [irow]/[isucc]/[itok] are the CSR
-   restricted to intra-component edges, in the same row order. *)
+   restricted to intra-component edges, in the same row order;
+   [rrow]/[rsrc] are the same edges reversed (the in-neighbours of each
+   node). *)
 type scratch = {
   times : int array;
   irow : int array;
   isucc : int array;
   itok : int array;
+  rrow : int array;
+  rsrc : int array;
   lam_num : int array;  (** current cycle ratio, normalized numerator *)
   lam_den : int array;  (** … and denominator (> 0) *)
   x : int array;  (** potential, scaled by the node's [lam_den] *)
   pol_dst : int array;  (** policy successor *)
   pol_w : int array;  (** policy edge tokens *)
-  state : int array;  (** value-determination walk colour *)
-  path : int array;  (** value-determination walk *)
+  state : int array;  (** walk colour, see {!value_determination} *)
+  path : int array;  (** value-determination walk; the set A of {!revalue} *)
+  queue : int array;  (** {!revalue}'s top-down order *)
+  switched : int array;  (** nodes the last phase 2 switched *)
+  mutable n_switched : int;
+  scan : int array;  (** nodes the next improvement scans … *)
+  mutable n_scan : int;  (** … or [-1]: every member *)
+  seen : int array;  (** [epoch] stamp: already in [scan] *)
+  mutable epoch : int;
   mutable cycles : int;  (** policy cycles found by the last walk *)
   mutable w_root : int;  (** head of the first of them *)
 }
@@ -251,11 +262,29 @@ let make_scratch c comp =
     done
   done;
   irow.(n) <- !k;
+  (* the reverse rows, by a counting sort of the edges on destination *)
+  let rrow = Array.make (n + 1) 0 and rsrc = Array.make !k 0 in
+  for i = 0 to !k - 1 do
+    rrow.(isucc.(i) + 1) <- rrow.(isucc.(i) + 1) + 1
+  done;
+  for v = 0 to n - 1 do
+    rrow.(v + 1) <- rrow.(v + 1) + rrow.(v)
+  done;
+  let fill = Array.sub rrow 0 n in
+  for u = 0 to n - 1 do
+    for i = irow.(u) to irow.(u + 1) - 1 do
+      let v = isucc.(i) in
+      rsrc.(fill.(v)) <- u;
+      fill.(v) <- fill.(v) + 1
+    done
+  done;
   {
     times = c.time;
     irow;
     isucc;
     itok;
+    rrow;
+    rsrc;
     lam_num = Array.make n 0;
     lam_den = Array.make n 1;
     x = Array.make n 0;
@@ -263,35 +292,51 @@ let make_scratch c comp =
     pol_w = Array.make n 0;
     state = Array.make n 0;
     path = Array.make n 0;
+    queue = Array.make n 0;
+    switched = Array.make n 0;
+    n_switched = 0;
+    scan = Array.make n 0;
+    n_scan = -1;
+    seen = Array.make n (-1);
+    epoch = 0;
     cycles = 0;
     w_root = 0;
   }
 
+(* Walk colours: unvisited, on the current walk, settled, and settled on a
+   policy cycle. *)
+let fresh = 0
+and walking = 1
+and settled = 2
+and on_cycle = 3
+
 (* Walk every member along the policy: each walk either closes a new policy
    cycle, whose ratio and potentials it fixes, or runs into a settled node;
    the walked tail then inherits ratio and potential backwards, latest
-   first. The first cycle found is recorded as the witness. *)
+   first. The first cycle found is recorded as the witness; its head
+   [w_root] is where the walk from the lowest-id member enters it. *)
 let value_determination s members lo hi =
   let { times = time; lam_num; lam_den; x; pol_dst; pol_w; state; path; _ } =
     s
   in
   for j = lo to hi - 1 do
-    state.(members.(j)) <- 0
+    state.(members.(j)) <- fresh
   done;
   s.cycles <- 0;
+  s.n_scan <- -1;
   for j = lo to hi - 1 do
     let u0 = members.(j) in
-    if state.(u0) = 0 then begin
+    if state.(u0) = fresh then begin
       let len = ref 0 and u = ref u0 in
-      while state.(!u) = 0 do
-        state.(!u) <- 1;
+      while state.(!u) = fresh do
+        state.(!u) <- walking;
         path.(!len) <- !u;
         incr len;
         u := pol_dst.(!u)
       done;
       let len = !len in
       let root = !u in
-      if state.(root) = 1 then begin
+      if state.(root) = walking then begin
         let p = ref (len - 1) in
         while path.(!p) <> root do
           decr p
@@ -311,35 +356,129 @@ let value_determination s members lo hi =
         lam_num.(root) <- num;
         lam_den.(root) <- den;
         x.(root) <- 0;
-        state.(root) <- 2;
+        state.(root) <- on_cycle;
         for q = len - 1 downto p + 1 do
           let v = path.(q) in
           lam_num.(v) <- num;
           lam_den.(v) <- den;
           x.(v) <- (den * time.(v)) - (num * pol_w.(v)) + x.(pol_dst.(v));
-          state.(v) <- 2
+          state.(v) <- on_cycle
         done
       end;
       for q = len - 1 downto 0 do
         let v = path.(q) in
-        if state.(v) = 1 then begin
+        if state.(v) = walking then begin
           let succ = pol_dst.(v) in
           let num = lam_num.(succ) and den = lam_den.(succ) in
           lam_num.(v) <- num;
           lam_den.(v) <- den;
           x.(v) <- (den * time.(v)) - (num * pol_w.(v)) + x.(succ);
-          state.(v) <- 2
+          state.(v) <- settled
         end
       done
     end
   done
+
+(* The incremental value determination after a phase-2 switch of
+   [switched] under a single policy cycle: only the nodes A whose policy
+   path now runs through a switched node can have a new potential. A is
+   found backwards from the switched nodes along the policy, then settled
+   top-down from the switched nodes whose successor lies outside A — the
+   same integers the full walk would compute, as long as the cycle and the
+   root stay put. [false] (and nothing to trust) when they may not: the
+   lowest-id member in A (its walk picks the root), or a node of A that
+   never reaches outside A (a new policy cycle). A switched node on the
+   cycle puts every member in A, so testing it first only saves the
+   search. On success the next improvement needs to scan only the
+   in-neighbours of A: every other node keeps its potential and those of
+   its successors, and so its verdict. *)
+let revalue s members lo =
+  let { times = time; rrow; rsrc; lam_num; lam_den; x; pol_dst; pol_w; _ } =
+    s
+  in
+  let { state; path = a; queue; switched; scan; seen; _ } = s in
+  let rec cycle_untouched j =
+    j = s.n_switched
+    || (state.(switched.(j)) <> on_cycle && cycle_untouched (j + 1))
+  in
+  cycle_untouched 0
+  &&
+  let na = ref 0 in
+  for j = 0 to s.n_switched - 1 do
+    let u = switched.(j) in
+    state.(u) <- walking;
+    a.(!na) <- u;
+    incr na
+  done;
+  let k = ref 0 in
+  while !k < !na do
+    let v = a.(!k) in
+    incr k;
+    for r = rrow.(v) to rrow.(v + 1) - 1 do
+      let u = rsrc.(r) in
+      if state.(u) <> walking && pol_dst.(u) = v then begin
+        state.(u) <- walking;
+        a.(!na) <- u;
+        incr na
+      end
+    done
+  done;
+  let na = !na in
+  state.(members.(lo)) <> walking
+  &&
+  let num = lam_num.(members.(lo)) and den = lam_den.(members.(lo)) in
+  let settle v =
+    x.(v) <- (den * time.(v)) - (num * pol_w.(v)) + x.(pol_dst.(v));
+    state.(v) <- settled
+  in
+  let nq = ref 0 in
+  for j = 0 to s.n_switched - 1 do
+    let u = switched.(j) in
+    if state.(pol_dst.(u)) <> walking then begin
+      settle u;
+      queue.(!nq) <- u;
+      incr nq
+    end
+  done;
+  let k = ref 0 in
+  while !k < !nq do
+    let v = queue.(!k) in
+    incr k;
+    for r = rrow.(v) to rrow.(v + 1) - 1 do
+      let u = rsrc.(r) in
+      if state.(u) = walking && pol_dst.(u) = v then begin
+        settle u;
+        queue.(!nq) <- u;
+        incr nq
+      end
+    done
+  done;
+  !nq = na
+  &&
+  let epoch = s.epoch + 1 in
+  s.epoch <- epoch;
+  s.n_scan <- 0;
+  for j = 0 to na - 1 do
+    let v = a.(j) in
+    for r = rrow.(v) to rrow.(v + 1) - 1 do
+      let u = rsrc.(r) in
+      if seen.(u) <> epoch then begin
+        seen.(u) <- epoch;
+        scan.(s.n_scan) <- u;
+        s.n_scan <- s.n_scan + 1
+      end
+    done
+  done;
+  true
 
 (* One policy improvement; [true] when the policy changed. Phase 1 chases
    a larger reachable cycle ratio. It is skipped when the walk found a
    single policy cycle: then every member has that cycle's ratio and no
    successor can be strictly larger. Phase 2 keeps the ratio and improves
    the potential; the scaled comparison is exact, since equal ratios mean
-   equal scales. *)
+   equal scales. Each node's phase-2 verdict reads only potentials, so
+   scanning the subset {!revalue} left in [scan] switches exactly the nodes
+   a scan of every member would. *)
 let improve s members lo hi =
   let { times = time; irow; isucc; itok; lam_num; lam_den; x; pol_dst; pol_w; _ }
       =
@@ -368,8 +507,12 @@ let improve s members lo hi =
     done;
   if !changed then true
   else begin
+    let nodes, lo, hi =
+      if s.n_scan < 0 then (members, lo, hi) else (s.scan, 0, s.n_scan)
+    in
+    s.n_switched <- 0;
     for j = lo to hi - 1 do
-      let u = members.(j) in
+      let u = nodes.(j) in
       let num = lam_num.(u) and den = lam_den.(u) in
       let best = ref x.(u) and best_i = ref (-1) in
       for i = irow.(u) to irow.(u + 1) - 1 do
@@ -385,10 +528,11 @@ let improve s members lo hi =
       if !best_i >= 0 then begin
         pol_dst.(u) <- isucc.(!best_i);
         pol_w.(u) <- itok.(!best_i);
-        changed := true
+        s.switched.(s.n_switched) <- u;
+        s.n_switched <- s.n_switched + 1
       end
     done;
-    !changed
+    s.n_switched > 0
   end
 
 (* Howard's policy iteration restricted to one strongly connected component,
@@ -436,10 +580,16 @@ let howard s members lo hi =
   let max_iterations = 1000 + (10 * size) in
   value_determination s members lo hi;
   let iterations = ref 0 in
-  while improve s members lo hi do
+  while
+    Exec.Budget.check ();
+    improve s members lo hi
+  do
     incr iterations;
     if !iterations > max_iterations then raise Diverged;
-    value_determination s members lo hi
+    (* under a single policy cycle phase 1 is skipped, so the change was a
+       phase-2 switch that {!revalue} may absorb *)
+    if not (s.cycles = 1 && revalue s members lo) then
+      value_determination s members lo hi
   done;
   let num = lam_num.(members.(lo)) and den = lam_den.(members.(lo)) in
   (* certificate: lambda uniform and the potential dominates every edge *)

@@ -12,8 +12,20 @@
 
     The ratio is computed per strongly connected component with Howard's
     policy iteration (Cochet-Terrasson et al., 1998) in exact {!Rational}
-    arithmetic — generally linear-time-per-iteration with very few
-    iterations in practice. Every accepted fixpoint is checked against the
+    arithmetic. Value determination walks every member along the policy
+    after a start or a phase-1 (ratio) switch. After a phase-2 (potential)
+    switch of a set S of nodes under a single policy cycle it is
+    incremental: only the nodes A whose policy path now runs through S are
+    re-settled, top-down from the members of S whose successor lies
+    outside A, and the next improvement scans only the in-neighbours of A.
+    It falls back to the full walk and the full scan when a node of S lies
+    on the policy cycle, when the lowest-id member is in A (its walk fixes
+    the cycle's head, where the potential is 0), when a node of A never
+    leaves A (S closed a new cycle), or under several policy cycles. Each
+    incremental potential is the integer the full walk would compute, so
+    the policy sequence, λ and the witness are the full walk's. The
+    budget of the ambient {!Exec.Budget} scope is polled once per
+    improvement step. Every accepted fixpoint is checked against the
     (max,+) optimality certificate (a node potential [x] with
     [x(u) ≥ t(u) − λ·w(e) + x(v)] for every edge [u→v] in the component),
     which proves [λ] is an upper bound on every cycle ratio; since [λ] is
@@ -77,7 +89,8 @@ val max_cycle_ratio_csr : csr -> outcome
 (** Exact maximum cycle ratio of a {!csr} dependency graph. The zero-token
     cycle search, Tarjan's components and Howard's iteration are loops over
     arrays preallocated per call.
-    @raise Diverged see above *)
+    @raise Diverged see above
+    @raise Exec.Budget.Expired when the ambient budget runs out *)
 
 val max_cycle_ratio : Graph.t -> outcome
 (** {!max_cycle_ratio_csr} of the graph's channels, taken in id order as

@@ -349,75 +349,24 @@ let test_mcm_matches_figure6_csv () =
    cycle, so these pins also hold the order in which the analysis walks
    each node's successors. *)
 let test_case_study_mcm_pinned () =
-  let seq = Mjpeg.Streams.synthetic () in
-  let app =
-    match Experiments.calibrated_mjpeg seq with
-    | Ok app -> app
-    | Error e -> Alcotest.fail e
-  in
-  (* [Flow_map]'s private buffer growth, copied; the check against the
-     flow's own final round below fails if the two drift apart *)
-  let scale_params scale (c : Sdf.Graph.channel)
-      (p : Mapping.Comm_map.channel_params) =
-    if scale = 1 then p
-    else
-      {
-        p with
-        Mapping.Comm_map.src_buffer_tokens =
-          p.Mapping.Comm_map.src_buffer_tokens * scale;
-        dst_buffer_tokens = (2 * c.consumption_rate * scale) + c.initial_tokens;
-      }
-  in
   let pins =
     [
       ( "fsl",
-        Arch.Template.Use_fsl Arch.Fsl.default,
+        Case_study.fsl,
         [ (1, 55205, 780); (2, 48563, 776); (4, 43249, 703) ] );
       ( "noc",
-        Arch.Template.Use_noc Arch.Noc.default_config,
+        Case_study.noc,
         [ (1, 55213, 780); (2, 48567, 776); (4, 43249, 703) ] );
     ]
   in
   List.iter
     (fun (name, template, rounds) ->
-      let m =
-        match
-          Core.Design_flow.run_auto app
-            ~options:(Experiments.flow_options_with ~analysis:`Mcm ())
-            template ()
-        with
-        | Ok flow -> flow.Core.Design_flow.mapping
-        | Error e -> Alcotest.fail (Core.Flow_error.to_string e)
-      in
+      let m = Case_study.mapping template in
       check int (name ^ " final buffer scale") 4 m.Mapping.Flow_map.buffer_scale;
       List.iter
         (fun (scale, period, cycle_len) ->
           let label = Printf.sprintf "%s scale %d" name scale in
-          let expansion =
-            match
-              Mapping.Comm_map.expand ~graph:m.Mapping.Flow_map.timed_graph
-                ~binding:(Mapping.Binding.tile_of m.Mapping.Flow_map.binding)
-                ~platform:m.Mapping.Flow_map.platform
-                ?noc:m.Mapping.Flow_map.noc_allocation
-                ~intra_tile_capacity:(fun c ->
-                  2 * scale * Sdf.Buffers.lower_bound c)
-                ~params_override:(scale_params scale) ()
-            with
-            | Ok x -> x
-            | Error e -> Alcotest.fail e
-          in
-          let options =
-            {
-              Sdf.Execution.default_options with
-              auto_concurrency = None;
-              resources =
-                Mapping.Order.micro_orders ~expansion
-                  ~timed_graph:m.Mapping.Flow_map.timed_graph
-                  ~actor_orders:m.Mapping.Flow_map.actor_orders;
-              max_firings = 50_000_000;
-            }
-          in
-          let g = expansion.Mapping.Comm_map.graph in
+          let g, options = Case_study.round m scale in
           let result = Sdf.Throughput.analyse ~options ~method_:`Mcm g in
           if scale = m.Mapping.Flow_map.buffer_scale then
             check bool (label ^ " is the flow's own final round") true

@@ -382,6 +382,16 @@ let test_flow_map_latency () =
           in
           check bool "at least one period" true (float_of_int latency >= period))
 
+(* The case study's first-iteration latency on the five-tile FSL and NoC
+   platforms, as the MAMPS project's mapping.txt reports it. *)
+let test_case_study_latency () =
+  List.iter
+    (fun (name, template, cycles) ->
+      check (Alcotest.option int) (name ^ " first-iteration latency")
+        (Some cycles)
+        (Flow_map.first_iteration_latency (Case_study.mapping template)))
+    [ ("fsl", Case_study.fsl, 81151); ("noc", Case_study.noc, 81171) ]
+
 let test_flow_map_reanalyse_identity () =
   let app = pipe_app_exn () in
   let platform = two_tile_platform () in
@@ -523,6 +533,8 @@ let () =
         [
           Alcotest.test_case "run" `Quick test_flow_map_run;
           Alcotest.test_case "latency" `Quick test_flow_map_latency;
+          Alcotest.test_case "case study latency" `Quick
+            test_case_study_latency;
           Alcotest.test_case "reanalyse identity" `Quick test_flow_map_reanalyse_identity;
           Alcotest.test_case "constraint flag" `Quick test_flow_map_constraint_flag;
         ] );

@@ -970,21 +970,366 @@ let csr_path_agrees ~options g =
   | Error e1, Error e2 -> e1 = e2
   | Ok _, Error _ | Error _, Ok _ -> false
 
-(* ... under every auto-concurrency degree, and mapped onto two resources
-   with static orders *)
-let csr_path_agrees_everywhere g =
+(* [check] under every auto-concurrency degree, and mapped onto two
+   resources with static orders *)
+let everywhere check g =
   List.for_all
     (fun auto_concurrency ->
-      csr_path_agrees
-        ~options:{ Execution.default_options with auto_concurrency }
-        g)
+      check ~options:{ Execution.default_options with auto_concurrency } g)
     [ None; Some 1; Some 2 ]
   &&
   let binding aid = Some (Printf.sprintf "pe%d" (aid mod 2)) in
   match Schedule.list_schedule g ~binding with
   | Error _ -> false
   | Ok resources ->
-      csr_path_agrees ~options:{ Execution.default_options with resources } g
+      check ~options:{ Execution.default_options with resources } g
+
+let csr_path_agrees_everywhere = everywhere csr_path_agrees
+
+(* --- reference Howard --------------------------------------------------- *)
+
+(* Howard's policy iteration without the incremental phase-2 walk, as an
+   independent reference: every improvement re-walks every member and
+   re-scans every intra-component edge. The zero-token cycle search and
+   Tarjan's components visit in [Mcm]'s order, in recursive form.
+   [Mcm.max_cycle_ratio_csr] must match it exactly, ratio and ordered
+   witness. *)
+module Reference_howard = struct
+  open Mcm
+
+  exception Found of int list
+
+  (* the edge positions of [u]'s row *)
+  let row (c : csr) u =
+    List.init (c.row.(u + 1) - c.row.(u)) (fun k -> c.row.(u) + k)
+
+  let zero_cycle (c : csr) =
+    let n = Array.length c.time in
+    let color = Array.make n 0 in
+    (* [grey] is the grey path, latest first, [u] at its head *)
+    let rec visit grey u =
+      color.(u) <- 1;
+      for i = c.row.(u) to c.row.(u + 1) - 1 do
+        if c.tokens.(i) = 0 then begin
+          let v = c.succ.(i) in
+          if color.(v) = 0 then visit (v :: grey) v
+          else if color.(v) = 1 then begin
+            let rec upto acc = function
+              | w :: rest -> if w = v then w :: acc else upto (w :: acc) rest
+              | [] -> acc
+            in
+            raise (Found (upto [] grey))
+          end
+        end
+      done;
+      color.(u) <- 2
+    in
+    try
+      for r = 0 to n - 1 do
+        if color.(r) = 0 then visit [ r ] r
+      done;
+      None
+    with Found cycle -> Some cycle
+
+  (* component ids in order of completion *)
+  let components (c : csr) =
+    let n = Array.length c.time in
+    let index = Array.make n (-1) and low = Array.make n 0 in
+    let on_stack = Array.make n false and comp = Array.make n 0 in
+    let stack = ref [] and counter = ref 0 and ncomp = ref 0 in
+    let rec connect u =
+      index.(u) <- !counter;
+      low.(u) <- !counter;
+      incr counter;
+      stack := u :: !stack;
+      on_stack.(u) <- true;
+      for i = c.row.(u) to c.row.(u + 1) - 1 do
+        let v = c.succ.(i) in
+        if index.(v) < 0 then begin
+          connect v;
+          low.(u) <- min low.(u) low.(v)
+        end
+        else if on_stack.(v) then low.(u) <- min low.(u) index.(v)
+      done;
+      if low.(u) = index.(u) then begin
+        let rec pop () =
+          match !stack with
+          | v :: rest ->
+              stack := rest;
+              on_stack.(v) <- false;
+              comp.(v) <- !ncomp;
+              if v <> u then pop ()
+          | [] -> assert false
+        in
+        pop ();
+        incr ncomp
+      end
+    in
+    for u = 0 to n - 1 do
+      if index.(u) < 0 then connect u
+    done;
+    (comp, !ncomp)
+
+  (* Howard on the component [members] (increasing ids): the policy walk,
+     the two-phase improvement and the certificate *)
+  let howard (c : csr) comp members =
+    let n = Array.length c.time and time = c.time in
+    let edges u =
+      List.filter (fun i -> comp.(c.succ.(i)) = comp.(u)) (row c u)
+    in
+    let out = Array.make n [] in
+    List.iter (fun u -> out.(u) <- edges u) members;
+    let lam_num = Array.make n 0 and lam_den = Array.make n 1 in
+    let x = Array.make n 0 and pol_dst = Array.make n 0 in
+    let pol_w = Array.make n 0 and state = Array.make n 0 in
+    let size = List.length members in
+    let sum_t = ref 0 and sum_w = ref 0 and tmax = ref 0 and wmax = ref 0 in
+    List.iter
+      (fun u ->
+        match out.(u) with
+        | [] -> raise Diverged
+        | i :: _ ->
+            pol_dst.(u) <- c.succ.(i);
+            pol_w.(u) <- c.tokens.(i);
+            sum_t := !sum_t + time.(u);
+            tmax := max !tmax time.(u);
+            List.iter
+              (fun i ->
+                sum_w := !sum_w + c.tokens.(i);
+                wmax := max !wmax c.tokens.(i))
+              out.(u))
+      members;
+    let bound =
+      float_of_int size
+      *. ((float_of_int !sum_w *. float_of_int !tmax)
+         +. (float_of_int !sum_t *. float_of_int (max 1 !wmax)))
+    in
+    if bound > 4.0e18 then raise Diverged;
+    let cycles = ref 0 and w_root = ref 0 in
+    let settle v num den =
+      lam_num.(v) <- num;
+      lam_den.(v) <- den;
+      x.(v) <- (den * time.(v)) - (num * pol_w.(v)) + x.(pol_dst.(v))
+    in
+    let value_determination () =
+      List.iter (fun u -> state.(u) <- 0) members;
+      cycles := 0;
+      List.iter
+        (fun u0 ->
+          if state.(u0) = 0 then begin
+            (* the walk, latest first *)
+            let rec walk path u =
+              if state.(u) = 0 then begin
+                state.(u) <- 1;
+                walk (u :: path) pol_dst.(u)
+              end
+              else (path, u)
+            in
+            let path, root = walk [] u0 in
+            if state.(root) = 1 then begin
+              let rec on_cycle acc = function
+                | v :: rest ->
+                    if v = root then v :: acc else on_cycle (v :: acc) rest
+                | [] -> acc
+              in
+              let cycle = on_cycle [] path in
+              let ct = List.fold_left (fun a v -> a + time.(v)) 0 cycle in
+              let cw = List.fold_left (fun a v -> a + pol_w.(v)) 0 cycle in
+              if cw <= 0 then raise Diverged;
+              let g = Rational.gcd_int ct cw in
+              if !cycles = 0 then w_root := root;
+              incr cycles;
+              lam_num.(root) <- ct / g;
+              lam_den.(root) <- cw / g;
+              x.(root) <- 0;
+              state.(root) <- 2;
+              List.iter
+                (fun v ->
+                  if v <> root then begin
+                    settle v (ct / g) (cw / g);
+                    state.(v) <- 2
+                  end)
+                (List.rev cycle)
+            end;
+            List.iter
+              (fun v ->
+                if state.(v) = 1 then begin
+                  let s = pol_dst.(v) in
+                  settle v lam_num.(s) lam_den.(s);
+                  state.(v) <- 2
+                end)
+              path
+          end)
+        members
+    in
+    let switch u i =
+      pol_dst.(u) <- c.succ.(i);
+      pol_w.(u) <- c.tokens.(i)
+    in
+    let improve () =
+      let changed = ref false in
+      if !cycles > 1 then
+        List.iter
+          (fun u ->
+            let bn = ref lam_num.(u) and bd = ref lam_den.(u) in
+            let best = ref (-1) in
+            List.iter
+              (fun i ->
+                let v = c.succ.(i) in
+                if lam_num.(v) * !bd > !bn * lam_den.(v) then begin
+                  bn := lam_num.(v);
+                  bd := lam_den.(v);
+                  best := i
+                end)
+              out.(u);
+            if !best >= 0 then begin
+              switch u !best;
+              changed := true
+            end)
+          members;
+      if not !changed then
+        List.iter
+          (fun u ->
+            let num = lam_num.(u) and den = lam_den.(u) in
+            let best = ref x.(u) and best_i = ref (-1) in
+            List.iter
+              (fun i ->
+                let v = c.succ.(i) in
+                if lam_num.(v) = num && lam_den.(v) = den then begin
+                  let value = (den * time.(u)) - (num * c.tokens.(i)) + x.(v) in
+                  if value > !best then begin
+                    best := value;
+                    best_i := i
+                  end
+                end)
+              out.(u);
+            if !best_i >= 0 then begin
+              switch u !best_i;
+              changed := true
+            end)
+          members;
+      !changed
+    in
+    let max_iterations = 1000 + (10 * size) in
+    value_determination ();
+    let iterations = ref 0 in
+    while improve () do
+      incr iterations;
+      if !iterations > max_iterations then raise Diverged;
+      value_determination ()
+    done;
+    let head = List.hd members in
+    let num = lam_num.(head) and den = lam_den.(head) in
+    List.iter
+      (fun u ->
+        if lam_num.(u) <> num || lam_den.(u) <> den then raise Diverged;
+        List.iter
+          (fun i ->
+            if x.(u) < (den * time.(u)) - (num * c.tokens.(i)) + x.(c.succ.(i))
+            then raise Diverged)
+          out.(u))
+      members;
+    let rec spell v acc =
+      let acc = v :: acc in
+      if pol_dst.(v) = !w_root then List.rev acc else spell pol_dst.(v) acc
+    in
+    let actors = spell !w_root [] in
+    ( Rational.make num den,
+      {
+        cycle_actors = actors;
+        cycle_time = List.fold_left (fun a v -> a + time.(v)) 0 actors;
+        cycle_tokens = List.fold_left (fun a v -> a + pol_w.(v)) 0 actors;
+      } )
+
+  let max_cycle_ratio (c : csr) =
+    let n = Array.length c.time in
+    if n = 0 then Acyclic
+    else
+      match zero_cycle c with
+      | Some actors ->
+          Deadlock
+            {
+              cycle_actors = actors;
+              cycle_time = List.fold_left (fun a v -> a + c.time.(v)) 0 actors;
+              cycle_tokens = 0;
+            }
+      | None ->
+          let comp, ncomp = components c in
+          let members_of = Array.make ncomp [] in
+          for u = n - 1 downto 0 do
+            members_of.(comp.(u)) <- u :: members_of.(comp.(u))
+          done;
+          let best = ref None in
+          for ci = 0 to ncomp - 1 do
+            let members = members_of.(ci) in
+            let cyclic =
+              match members with
+              | [ u ] -> List.exists (fun i -> c.succ.(i) = u) (row c u)
+              | _ -> true
+            in
+            if cyclic then begin
+              let lambda, witness = howard c comp members in
+              match !best with
+              | Some (l, _) when Rational.compare lambda l <= 0 -> ()
+              | _ -> best := Some (lambda, witness)
+            end
+          done;
+          match !best with
+          | None -> Acyclic
+          | Some (lambda, critical) -> Ratio { lambda; critical }
+end
+
+(* [Mcm.max_cycle_ratio_csr] returns the reference's outcome, or both
+   diverge *)
+let matches_reference c =
+  let outcome f =
+    match f c with o -> Ok o | exception Mcm.Diverged -> Error ()
+  in
+  outcome Mcm.max_cycle_ratio_csr = outcome Reference_howard.max_cycle_ratio
+
+let expansion_matches_reference ~options g =
+  match Hsdf.expand_csr ~options g with
+  | Ok c -> matches_reference c
+  | Error _ -> true
+
+(* raw dependency graphs: execution times and (source, target, tokens)
+   edges, parallel edges and zero-token edges included *)
+let raw_edges_arbitrary =
+  let open QCheck in
+  let gen =
+    Gen.(
+      let* n = int_range 1 10 in
+      let* time = array_size (return n) (int_range 0 9) in
+      let tokens = frequency [ (1, return 0); (4, int_range 1 3) ] in
+      (* half of them strongly connected by a ring through every node *)
+      let* ring = bool in
+      let* ring =
+        if ring then
+          flatten_l
+            (List.init n (fun u -> map (fun w -> (u, (u + 1) mod n, w)) tokens))
+        else return []
+      in
+      let* edges =
+        list_size (int_range 0 (3 * n))
+          (triple (int_bound (n - 1)) (int_bound (n - 1)) tokens)
+      in
+      return (time, ring @ edges))
+  in
+  let print (time, edges) =
+    Printf.sprintf "times [%s] edges [%s]"
+      (String.concat ";" (Array.to_list (Array.map string_of_int time)))
+      (String.concat ";"
+         (List.map (fun (s, d, w) -> Printf.sprintf "%d->%d/%d" s d w) edges))
+  in
+  make ~print gen
+
+let raw_csr (time, edges) =
+  let field f = Array.of_list (List.map f edges) in
+  Mcm.csr_of_edges ~time
+    ~src:(field (fun (s, _, _) -> s))
+    ~dst:(field (fun (_, d, _) -> d))
+    ~tokens:(field (fun (_, _, w) -> w))
+    (List.length edges)
 
 let sdf_props =
   let open QCheck in
@@ -1055,7 +1400,39 @@ let sdf_props =
         && csr_path_agrees_everywhere b
         && csr_path_agrees_everywhere
              (Workload.generate ~seed ()).Workload.graph);
+    Test.make ~count:1000 ~name:"howard matches the full-walk reference"
+      (pair raw_edges_arbitrary (int_range 0 100_000))
+      (fun (raw, seed) ->
+        matches_reference (raw_csr raw)
+        && everywhere expansion_matches_reference
+             (Workload.generate ~seed ()).Workload.graph);
   ]
+
+let case_study_csr template scale =
+  let g, options = Case_study.round (Case_study.mapping template) scale in
+  match Hsdf.expand_csr ~options g with
+  | Ok c -> c
+  | Error e -> Alcotest.failf "expand_csr: %a" Hsdf.pp_error e
+
+let test_howard_case_study_reference () =
+  List.iter
+    (fun (name, template) ->
+      for scale = 1 to 8 do
+        check bool
+          (Printf.sprintf "%s scale %d matches the reference" name scale)
+          true
+          (matches_reference (case_study_csr template scale))
+      done)
+    [ ("fsl", Case_study.fsl); ("noc", Case_study.noc) ]
+
+let test_howard_polls_budget () =
+  let c = case_study_csr Case_study.fsl 1 in
+  let expired = Exec.Budget.scope ~deadline:(Exec.Budget.after (-1.0)) () in
+  match
+    Exec.Budget.with_scope expired (fun () -> Mcm.max_cycle_ratio_csr c)
+  with
+  | exception Exec.Budget.Expired Exec.Budget.Deadline -> ()
+  | _ -> Alcotest.fail "expected Howard to raise Expired"
 
 (* --- structural keys and the analysis memo ----------------------------- *)
 
@@ -1298,6 +1675,10 @@ let () =
             test_methods_agree_mapped;
           Alcotest.test_case "memoized mcm" `Quick test_methods_memo_agree;
           Alcotest.test_case "counters" `Quick test_mcm_counters;
+          Alcotest.test_case "howard matches the reference on the case study"
+            `Quick test_howard_case_study_reference;
+          Alcotest.test_case "howard polls the budget" `Quick
+            test_howard_polls_budget;
         ] );
       ( "io",
         [
